@@ -7,7 +7,7 @@ subgroups with complete weight-distribution verification, and applies the
 Gray isometry to obtain two-distance codes over F_q.
 """
 
-from .cyclotomic import CyclotomicInteger, ExactRational, cyclotomic_polynomial
+from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial
 from .characters import (
     CharacterSystem,
     field_quotient_characters,

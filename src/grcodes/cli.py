@@ -5,8 +5,9 @@ Subcommands: ``ring info``, ``gauss``, ``code build|weights|verify``,
 coefficients ("3,2" = 3 + 2*xi mod p^2); field literals use the same shape
 mod p.  Exit codes: 0 success, 1 verification mismatch, 2 invalid usage.
 
-Reports are deterministic byte-for-byte for identical inputs, including
-under different --threads settings; timing goes to stderr only.
+Reports are deterministic byte-for-byte for identical inputs; timing goes
+to stderr only.  --threads (1..64) is accepted for compatibility and has
+no effect: every sweep runs in one thread.
 """
 from __future__ import annotations
 
@@ -387,11 +388,11 @@ def cmd_code_verify(cfg: RunConfig) -> int:
     _, suite = SUITES[cfg.theorem]
     if cfg.theorem == "2.1":
         ring = _build_ring(cfg)
-        report: VerificationReport = suite(ring, threads=cfg.threads, full=cfg.full)
+        report: VerificationReport = suite(ring, full=cfg.full)
     else:
         ctx = _build_context(cfg)
         if cfg.theorem in ("3.1", "4.4"):
-            report = suite(ctx, threads=cfg.threads, full=cfg.full)
+            report = suite(ctx, full=cfg.full)
         else:
             report = suite(ctx)
     if cfg.format == "json":
@@ -460,7 +461,8 @@ def _add_common(parser: argparse.ArgumentParser, *, code_opts: bool = False) -> 
     parser.add_argument("--config", help="flat key=value config file; flags override")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
     parser.add_argument("--output", help="write the report to this path instead of stdout")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility (1..64); has no effect")
     parser.add_argument("--allow-large", dest="allow_large", action="store_const",
                         const=True, default=None, help="override the desk-scale guard")
     parser.add_argument("--full", action="store_const", const=True, default=None,

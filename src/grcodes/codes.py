@@ -27,13 +27,15 @@ from .characters import (
     gauss_sum_field,
     ring_quotient_characters,
 )
-from .cyclotomic import CyclotomicInteger
+from .cyclotomic import CyclotomicInteger, exact_int
 from .errors import (
+    IncompatibleTowerError,
     InvalidSubgroupError,
+    InvalidTowerError,
     NegativeCountError,
     PreconditionViolatedError,
 )
-from .rings import FiniteField, GaloisRing, GaloisRingElement, RingTower
+from .rings import FiniteField, GaloisRing, GaloisRingElement, RingTower, rref_mod
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +89,12 @@ def dual_subspace(field: FiniteField, basis) -> list[int]:
     matrix = [
         [field.trace_to_prime(field.mul(a, ej)) for ej in unit_vectors] for a in basis
     ]
-    # Gaussian elimination to find the null space
-    rows = [list(r) for r in matrix]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = rref_mod(matrix, p, p)
     basis_out = []
-    for fcol in free:
+    for fcol in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fcol] = 1
-        for prow, pcol in zip(rows[:rank], pivots):
+        for prow, pcol in zip(rows, pivots):
             vec[pcol] = (-prow[fcol]) % p
         basis_out.append(field.from_coeffs(vec))
     return echelon_basis(field, basis_out)
@@ -303,25 +288,18 @@ class CodeContext:
             in_subfield = lambda x: FQ.pow(x, Qp) == x
             self.vperp_in_subfield = all(in_subfield(x) for x in self.vbar_perp)
             if self.vperp_in_subfield:
-                subfield_trace = lambda y: self._subfield_abs_trace(y, r * sprime)
-                members = []
-                for a in (x for x in FQ.elements() if in_subfield(x)):
-                    if all(subfield_trace(FQ.mul(a, x)) == 0 for x in self.vbar_perp):
-                        members.append(a)
-                self.s_dual = frozenset(members)
+                # annihilator of Vbar_perp inside F_{Q'} under the trace F_{Q'} -> F_p
+                traces = {
+                    a: [FQ.orbit_sum(FQ.mul(a, x), p, r * sprime) for x in self.vbar_perp]
+                    for a in FQ.elements() if in_subfield(a)
+                }
+                if any(t >= p for row in traces.values() for t in row):
+                    raise InvalidTowerError("absolute subfield trace left F_p")
+                self.s_dual = frozenset(a for a, row in traces.items() if not any(row))
 
         self._system: CharacterSystem | None = None
         self._small_system: CharacterSystem | None = None
         self._caches: dict[str, object] = {}
-
-    def _subfield_abs_trace(self, y: int, degree: int) -> int:
-        FQ = self.big.residue_field
-        acc, cur = 0, y
-        for _ in range(degree):
-            acc = FQ.add(acc, cur)
-            cur = FQ.pow(cur, self.p)
-        assert acc < self.p, "absolute subfield trace left F_p"
-        return acc
 
     # -- character machinery ------------------------------------------------
 
@@ -504,7 +482,8 @@ class CodeContext:
             for code in range(0, self.Q * self.Q, max(1, (self.Q * self.Q) // 8)):
                 beta = self.big.from_code(code)
                 expect = [sym.code for sym in self.encode(beta)]
-                assert list(mat[code]) == expect, "fast encoder disagrees with encode()"
+                if list(mat[code]) != expect:
+                    raise IncompatibleTowerError("fast encoder disagrees with encode()")
             return mat
         return self._cache("symbol_matrix", build)
 
@@ -534,18 +513,9 @@ class CodeContext:
             raise PreconditionViolatedError("S-condition requires the s' tower data")
         _, beta2 = self.big.unit_decompose(beta)
         FQ = self.big.residue_field
-        w = FQ.add(self.tower_sprime_trace(self.big.reduce_mod_p(beta2)), 1)
-        return BETA_UNIT_S if w in self.s_dual else BETA_UNIT_NO_S
-
-    def tower_sprime_trace(self, y: int) -> int:
-        """Relative field trace F_Q -> F_{Q'}, the value kept inside F_Q."""
-        FQ = self.big.residue_field
-        Qp = self.q**self.sprime
-        acc, cur = 0, y
-        for _ in range(self.p):
-            acc = FQ.add(acc, cur)
-            cur = FQ.pow(cur, Qp)
-        return acc
+        # relative trace F_Q -> F_{Q'}, the value kept inside F_Q
+        trace = FQ.orbit_sum(self.big.reduce_mod_p(beta2), self.q**self.sprime, self.p)
+        return BETA_UNIT_S if FQ.add(trace, 1) in self.s_dual else BETA_UNIT_NO_S
 
     # -- the general component-count formula -----------------------------------
 
@@ -700,10 +670,12 @@ class CodeContext:
         )
 
     def hom_weight_per_beta(self) -> np.ndarray:
-        mat = self.symbol_matrix()
-        classes = self.small_symbol_classes()
+        return self.hom_weights(self.symbol_matrix())
+
+    def hom_weights(self, mat: np.ndarray) -> np.ndarray:
+        """Homogeneous weight of each row of a matrix of small-ring symbol codes."""
         weight_of_class = np.array([0, self.q - 1, self.q], dtype=np.int64)
-        return weight_of_class[classes[mat]].sum(axis=1)
+        return weight_of_class[self.small_symbol_classes()[mat]].sum(axis=1)
 
     # -- closed-form tables ---------------------------------------------------
 
@@ -733,82 +705,85 @@ class CodeContext:
             BETA_ZERO: 1,
         }
 
-    def _exact_int(self, value: Fraction) -> int:
-        assert value.denominator == 1, f"closed form is not integral: {value}"
-        return int(value)
-
     def table1_predictions(self) -> dict[str, dict[str, int]]:
         """Predicted N_beta(a) per beta class and a class (e = 1 setting)."""
         q, Q, pd = self.q, self.Q, self.p**self.d
         F = Fraction
+        exact = lambda value: exact_int(value, "table 1 closed form")
         return {
             BETA_UNIT_S: {
-                A_UNIT: self._exact_int(F(Q * pd, q * q)),
-                A_P_TEICH: self._exact_int(F(Q * (pd - q), q * q)),
-                A_ZERO: self._exact_int(F(pd * (Q - q * q), q * q) + F(Q * (q - 1), q)),
+                A_UNIT: exact(F(Q * pd, q * q)),
+                A_P_TEICH: exact(F(Q * (pd - q), q * q)),
+                A_ZERO: exact(F(pd * (Q - q * q), q * q) + F(Q * (q - 1), q)),
             },
             BETA_UNIT_NO_S: {
-                A_UNIT: self._exact_int(F(Q * pd, q * q)),
-                A_P_TEICH: self._exact_int(F(Q * pd, q * q)),
-                A_ZERO: self._exact_int(F(pd * (Q - q * q), q * q)),
+                A_UNIT: exact(F(Q * pd, q * q)),
+                A_P_TEICH: exact(F(Q * pd, q * q)),
+                A_ZERO: exact(F(pd * (Q - q * q), q * q)),
             },
             BETA_P_TEICH: {
                 A_UNIT: 0,
-                A_P_TEICH: self._exact_int(F(Q * pd, q)),
-                A_ZERO: self._exact_int(F((Q - q) * pd, q)),
+                A_P_TEICH: exact(F(Q * pd, q)),
+                A_ZERO: exact(F((Q - q) * pd, q)),
             },
             BETA_ZERO: {A_UNIT: 0, A_P_TEICH: 0, A_ZERO: self.n},
         }
 
+    def class_table(self, predictions, observe) -> TableReport:
+        """Per-beta observations cross-checked against per-class closed forms.
+
+        ``observe(code)`` yields (column, observed value) pairs for the beta
+        of that code; ``predictions[beta class][column]`` is the closed form.
+        A cell shows the first observed value that misses its prediction, so
+        one bad beta stays visible; the betas of each class are counted too.
+        """
+        observed_counts = {name: 0 for name in predictions}
+        cells: dict[tuple[str, str], tuple[int, int]] = {}
+        for code in range(self.Q * self.Q):
+            bclass = self.beta_class(self.big.from_code(code))
+            observed_counts[bclass] += 1
+            for col, observed in observe(code):
+                predicted = predictions[bclass][col]
+                prev = cells.get((bclass, col))
+                if prev is None or (prev[0] == prev[1] and observed != predicted):
+                    cells[bclass, col] = (predicted, observed)
+        rows = [TableRow(b, col, pred, obs) for (b, col), (pred, obs) in sorted(cells.items())]
+        predicted_counts = self.predicted_class_counts()
+        class_counts = {
+            name: (predicted_counts[name], observed_counts[name]) for name in predictions
+        }
+        return TableReport(rows=rows, class_counts=class_counts)
+
     def theorem33_table(self) -> TableReport:
         """Symbol-count table in the e = 1 setting, every cell cross-checked."""
         self._require_table_hypotheses(need_e_one=True)
-        predictions = self.table1_predictions()
         mat = self.symbol_matrix()
-        classes = self.small_symbol_classes()
-        a_class_of_code = {0: A_ZERO, 1: A_UNIT, 2: A_P_TEICH}
-        observed_counts = {name: 0 for name in predictions}
-        # per (beta class, a class): predicted value, observed value (a mismatch,
-        # once seen, stays visible in the report)
-        cells: dict[tuple[str, str], tuple[int, int]] = {}
-        for code in range(self.Q * self.Q):
-            beta = self.big.from_code(code)
-            bclass = self.beta_class(beta)
-            observed_counts[bclass] += 1
-            counts = np.bincount(mat[code], minlength=self.q * self.q)
-            for a_code in range(self.q * self.q):
-                aclass = a_class_of_code[int(classes[a_code])]
-                predicted = predictions[bclass][aclass]
-                enumerated = int(counts[a_code])
-                key = (bclass, aclass)
-                prev = cells.get(key)
-                if prev is None or (prev[0] == prev[1] and enumerated != predicted):
-                    cells[key] = (predicted, enumerated)
-        rows = [
-            TableRow(bclass, aclass, pred, enum)
-            for (bclass, aclass), (pred, enum) in sorted(cells.items())
-        ]
-        class_counts = {
-            name: (self.predicted_class_counts()[name], observed_counts[name])
-            for name in predictions
-        }
-        table = self.hamming_distribution()
         q, Q, pd = self.q, self.Q, self.p**self.d
-        extras = {
-            "min_hamming_distance": (self._exact_int(Fraction(Q * pd * (q - 1), q)), table.min_hamming),
+        a_classes = [(A_ZERO, A_UNIT, A_P_TEICH)[c] for c in self.small_symbol_classes()]
+        report = self.class_table(
+            self.table1_predictions(),
+            lambda code: zip(a_classes, np.bincount(mat[code], minlength=q * q).tolist()),
+        )
+        table = self.hamming_distribution()
+        report.extras = {
+            "min_hamming_distance": (
+                exact_int(Fraction(Q * pd * (q - 1), q), "table 1 minimum distance"),
+                table.min_hamming,
+            ),
             "code_size": (Q * Q, table.size),
         }
-        return TableReport(rows=rows, class_counts=class_counts, extras=extras)
+        return report
 
     def theorem34_params(self) -> dict[str, tuple[int, int]]:
         """Closed-form (n, d, n~, d~) with enumeration cross-checks."""
         self._require_table_hypotheses(need_e_one=False)
         q, Q, pd, e = self.q, self.Q, self.p**self.d, self.e
         F = Fraction
-        n_pred = self._exact_int(F((Q - 1) * pd, e))
-        d_pred = self._exact_int(F(pd * Q * (q - 1), e * q))
-        nt_pred = self._exact_int(F((Q - 1) * pd, q * (q - 1)))
-        dt_pred = self._exact_int(F(pd * Q, q * q))
+        exact = lambda value: exact_int(value, "theorem 3.4 closed form")
+        n_pred = exact(F((Q - 1) * pd, e))
+        d_pred = exact(F(pd * Q * (q - 1), e * q))
+        nt_pred = exact(F((Q - 1) * pd, q * (q - 1)))
+        dt_pred = exact(F(pd * Q, q * q))
         table = self.hamming_distribution()
         tilde = self.build_tilde_code()
         return {
@@ -838,7 +813,8 @@ class CodeContext:
                 reps.append(idx)
                 for g_idx in fixed:
                     assigned.add((x * self.group_elements[g_idx]).coeffs)
-            assert len(reps) * l == self.n, "cosets do not partition the group"
+            if len(reps) * l != self.n:
+                raise InvalidSubgroupError("cosets do not partition the group")
             return TildeCode(tuple(reps), l, len(reps))
         return self._cache("tilde", build)
 

@@ -22,9 +22,16 @@ from functools import lru_cache
 
 from .errors import NotRationalError, OrderMismatchError
 
-# Exact rationals: the stdlib Fraction already keeps values reduced with a
-# positive denominator, which is all the invariants we need.
-ExactRational = Fraction
+
+def exact_int(value: Fraction, what: str) -> int:
+    """The integer value of an exact rational; raises NotRationalError otherwise.
+
+    Closed forms are rational expressions that must come out integral; a
+    fraction here is a bug in a formula and is reported, never rounded.
+    """
+    if value.denominator != 1:
+        raise NotRationalError(f"{what} is not integral: {value}")
+    return int(value)
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -34,9 +41,10 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs[:end]
 
 
-def _divmod_exact(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials; den must be monic."""
-    assert den and den[-1] == 1
+def _divide_exact(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of integer polynomials; raises unless den is monic and divides num."""
+    if not den or den[-1] != 1:
+        raise NotRationalError(f"divisor {den} is not monic")
     num = list(num)
     quo = [0] * max(len(num) - len(den) + 1, 0)
     for shift in range(len(num) - len(den), -1, -1):
@@ -45,7 +53,10 @@ def _divmod_exact(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
             quo[shift] = c
             for i, d in enumerate(den):
                 num[shift + i] -= c * d
-    return quo, _trim(num)
+    rem = _trim(num)
+    if rem:
+        raise NotRationalError(f"{den} leaves the remainder {rem}")
+    return quo
 
 
 @lru_cache(maxsize=None)
@@ -64,8 +75,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _divmod_exact(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            poly = _divide_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
 
@@ -298,15 +308,3 @@ class RootAccumulator:
 
     def value(self) -> CyclotomicInteger:
         return CyclotomicInteger(self.m, self.counts)
-
-
-def rational_combination(parts: list[tuple[Fraction, CyclotomicInteger]]) -> Fraction:
-    """Evaluate sum(scale * value) where every value must be a rational integer.
-
-    Raises NotRationalError if any cyclotomic part fails to reduce to an
-    integer; this is how formula bugs surface instead of being rounded away.
-    """
-    total = Fraction(0)
-    for scale, value in parts:
-        total += scale * value.as_rational_integer()
-    return total

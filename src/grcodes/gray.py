@@ -15,17 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    A_P_TEICH,
-    A_UNIT,
-    A_ZERO,
     BETA_P_TEICH,
     BETA_UNIT_NO_S,
     BETA_UNIT_S,
     BETA_ZERO,
     CodeContext,
     TableReport,
-    TableRow,
 )
+from .cyclotomic import exact_int
 from .errors import PreconditionViolatedError
 from .rings import GaloisRing, GaloisRingElement
 
@@ -68,8 +65,7 @@ def theorem44_hom_weight(ctx: CodeContext, beta: GaloisRingElement) -> int:
             ctx._table_field_eprime(), lambda j: -ctx._field_char_exp(j, b_bar)
         ).as_rational_integer()
         value = (q - 1) * (Fraction(n) - Fraction(n, Q - 1) * total)
-    assert value.denominator == 1, f"homogeneous-weight formula not integral: {value}"
-    return int(value)
+    return exact_int(value, "homogeneous-weight formula")
 
 
 def theorem45_table(ctx: CodeContext) -> TableReport:
@@ -77,45 +73,20 @@ def theorem45_table(ctx: CodeContext) -> TableReport:
     ctx._require_table_hypotheses(need_e_one=False)
     q, Q, pd, e = ctx.q, ctx.Q, ctx.p**ctx.d, ctx.e
     F = Fraction
-
-    def exact(v: Fraction) -> int:
-        assert v.denominator == 1, f"table value not integral: {v}"
-        return int(v)
-
-    predictions = {
+    exact = lambda value: exact_int(value, "table 2 closed form")
+    columns = ("w_hom", "w_hom_tilde")
+    by_class = {
         BETA_UNIT_S: (exact(F(Q * (q - 1) * (pd - 1), e)), exact(F(Q * (pd - 1), q))),
         BETA_UNIT_NO_S: (exact(F(Q * (q - 1) * pd, e)), exact(F(Q * pd, q))),
         BETA_P_TEICH: (exact(F(Q * (q - 1) * pd, e)), exact(F(Q * pd, q))),
         BETA_ZERO: (0, 0),
     }
-    tilde = ctx.build_tilde_code()
-    weights = ctx.hom_weight_per_beta()
-    tilde_mat = ctx.tilde_symbol_matrix()
-    classes = ctx.small_symbol_classes()
-    weight_of_class = np.array([0, q - 1, q], dtype=np.int64)
-    tilde_weights = weight_of_class[classes[tilde_mat]].sum(axis=1)
-
-    observed_counts = {name: 0 for name in predictions}
-    cells: dict[tuple[str, str], tuple[int, int]] = {}
-    for code in range(ctx.Q * ctx.Q):
-        beta = ctx.big.from_code(code)
-        bclass = ctx.beta_class(beta)
-        observed_counts[bclass] += 1
-        for col, observed in (("w_hom", int(weights[code])), ("w_hom_tilde", int(tilde_weights[code]))):
-            predicted = predictions[bclass][0 if col == "w_hom" else 1]
-            key = (bclass, col)
-            prev = cells.get(key)
-            if prev is None or (prev[0] == prev[1] and observed != predicted):
-                cells[key] = (predicted, observed)
-    rows = [
-        TableRow(bclass, col, pred, obs)
-        for (bclass, col), (pred, obs) in sorted(cells.items())
-    ]
-    class_counts = {
-        name: (ctx.predicted_class_counts()[name], observed_counts[name])
-        for name in predictions
-    }
-    return TableReport(rows=rows, class_counts=class_counts)
+    predictions = {name: dict(zip(columns, pair)) for name, pair in by_class.items()}
+    weights = ctx.hom_weight_per_beta().tolist()
+    tilde_weights = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
+    return ctx.class_table(
+        predictions, lambda code: zip(columns, (weights[code], tilde_weights[code]))
+    )
 
 
 # ---------------------------------------------------------------------------

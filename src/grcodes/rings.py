@@ -195,19 +195,22 @@ def hensel_lift_basic_primitive(g, p: int) -> tuple[int, ...]:
     f = [0] * (target + 1)
     f[0], f[target] = -1 % p2, 1
     k, rem = _pdivmod([c % p for c in f], g, p)
-    assert not rem
+    if rem:
+        raise NonPrimitiveInputError(f"{g} does not divide x^{target} - 1 over F_{p}")
     # f - g*k is divisible by p; t is the cofactor of the defect
     defect = _psub(f, _pmul(g, k, p2), p2)
     t = [(c // p) % p for c in defect]
     one, a, b = _pgcdext(g, k, p)
-    assert one == [1], "g and k must be coprime mod p"
+    if one != [1]:
+        raise NonPrimitiveInputError("g and k must be coprime mod p")
     u = _pmod(_pmul(b, t, p), g, p)
 
     h = [c % p2 for c in g]
     for i, c in enumerate(u):
         h[i] = (h[i] + p * c) % p2
     order = _order_of_x(h, p2, target)
-    assert order == target, f"lift failed: ord(x) = {order}, expected {target}"
+    if order != target:
+        raise NonPrimitiveInputError(f"lift failed: ord(x) = {order}, expected {target}")
     return tuple(h)
 
 
@@ -254,8 +257,8 @@ class FiniteField:
             self.exp.append(code)
             self.log[code] = i
             cur = _pmod(_pmul(cur, xpoly, p), list(modulus), p)
-        assert self._encode(cur) == 1, "modulus is not primitive"
-        assert len(self.log) == q - 1
+        if self._encode(cur) != 1 or len(self.log) != q - 1:
+            raise NonPrimitiveInputError("modulus is not primitive")
         self.generator = self.exp[1 % (q - 1)] if q > 2 else 1
         self._trace_table: list[int] | None = None
 
@@ -317,17 +320,20 @@ class FiniteField:
             return 0 if k else 1
         return self.exp[(self.log[a] * k) % (self.q - 1)]
 
+    def orbit_sum(self, y: int, q0: int, steps: int) -> int:
+        """y + y^q0 + ... + y^(q0^(steps-1)); the trace when steps is the degree."""
+        acc = 0
+        for _ in range(steps):
+            acc = self.add(acc, y)
+            y = self.pow(y, q0)
+        return acc
+
     def trace_to_prime(self, a: int) -> int:
         """Absolute trace to F_p, returned as an integer 0 <= t < p."""
         if self._trace_table is None:
-            table = []
-            for x in range(self.q):
-                acc, y = 0, x
-                for _ in range(self.r):
-                    acc = self.add(acc, y)
-                    y = self.pow(y, self.p)
-                assert acc < self.p, "trace left the prime field"
-                table.append(acc)
+            table = [self.orbit_sum(x, self.p, self.r) for x in range(self.q)]
+            if max(table) >= self.p:
+                raise InvalidTowerError("trace left the prime field")
             self._trace_table = table
         return self._trace_table[a]
 
@@ -347,7 +353,8 @@ class GaloisRingElement:
     def __init__(self, ring: "GaloisRing", coeffs):
         self.ring = ring
         self.coeffs = tuple(c % ring.p2 for c in coeffs)
-        assert len(self.coeffs) == ring.r
+        if len(self.coeffs) != ring.r:
+            raise IncompatibleTowerError(f"{len(self.coeffs)} coefficients do not fit {ring!r}")
 
     @property
     def code(self) -> int:
@@ -587,14 +594,19 @@ class GaloisRing:
             return self.zero
         return self.xi_powers[(self.teichmuller_log[t.coeffs] * k) % (self.q - 1)]
 
+    def orbit_sum(self, a: GaloisRingElement, q0: int, steps: int) -> GaloisRingElement:
+        """a + sigma_q0(a) + ... + sigma_q0^(steps-1)(a); the trace when steps is the degree."""
+        acc = self.zero
+        for _ in range(steps):
+            acc = acc + a
+            a = self.frobenius(a, q0)
+        return acc
+
     def trace_to_prime(self, a: GaloisRingElement) -> int:
         """Trace down to Z_{p^2}, as an integer 0 <= t < p^2."""
-        acc = self.zero
-        cur = a
-        for _ in range(self.r):
-            acc = acc + cur
-            cur = self.frobenius(cur, self.p)
-        assert not any(acc.coeffs[1:]), "trace left the prime ring"
+        acc = self.orbit_sum(a, self.p, self.r)
+        if any(acc.coeffs[1:]):
+            raise InvalidTowerError("trace left the prime ring")
         return acc.coeffs[0]
 
     def __repr__(self):
@@ -602,24 +614,36 @@ class GaloisRing:
 
 
 # ---------------------------------------------------------------------------
-# the tower GR(p^2, r) inside GR(p^2, r*s)
+# row reduction over Z_{p^k}
 # ---------------------------------------------------------------------------
 
-def _solve_unit_system(matrix: list[list[int]], mod: int, p: int) -> list[list[int]]:
-    """Inverse of a square matrix over Z_mod whose determinant is a unit mod p."""
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] % p != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, mod)
-        aug[col] = [(x * inv) % mod for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [(x - factor * y) % mod for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+def rref_mod(rows, mod: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z_mod, where mod is a power of the prime p.
 
+    Column by column, the pivot is the first remaining row whose entry is
+    nonzero mod p, hence a unit of Z_mod; it is scaled to 1 and cleared from
+    every other row.  Returns the reduced rows and the pivot columns.
+    """
+    mat = [[x % mod for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, mod)
+        mat[rank] = [(x * inv) % mod for x in mat[rank]]
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                mat[i] = [(x - row[col] * y) % mod for x, y in zip(row, mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+# ---------------------------------------------------------------------------
+# the tower GR(p^2, r) inside GR(p^2, r*s)
+# ---------------------------------------------------------------------------
 
 class RingTower:
     """The pair R = GR(p^2, r) inside R_big = GR(p^2, r*s), with its maps.
@@ -650,10 +674,9 @@ class RingTower:
             scaled = [(-root) * c for c in poly] + [big.zero]
             poly = [a + b for a, b in zip(shifted, scaled)]
             root = big._teich_power(root, p)
-        modulus = []
-        for coeff in poly:
-            assert not any(coeff.coeffs[1:]), "minimal polynomial left Z_{p^2}"
-            modulus.append(coeff.coeffs[0])
+        if any(any(coeff.coeffs[1:]) for coeff in poly):
+            raise IncompatibleTowerError("minimal polynomial left Z_{p^2}")
+        modulus = [coeff.coeffs[0] for coeff in poly]
         self.small = GaloisRing(p, small_degree, modulus)
         self.u = u
 
@@ -663,47 +686,20 @@ class RingTower:
         for _ in range(small_degree):
             self.embed_cols.append(cur.coeffs)
             cur = cur * u
-        # choose rows making the embedding invertible on its image (unit minor mod p)
-        rows = self._independent_rows(p)
+        # rows making the embedding invertible on its image (a unit minor mod p):
+        # the pivot columns of its transpose, which is embed_cols itself
+        _, rows = rref_mod(self.embed_cols, p, p)
+        if len(rows) < small_degree:
+            raise IncompatibleTowerError("embedding matrix is rank deficient")
         self._proj_rows = rows
-        submatrix = [[self.embed_cols[j][i] for j in range(small_degree)] for i in rows]
-        self._proj_inv = _solve_unit_system(submatrix, big.p2, p)
+        # invert the minor by reducing [minor | I] mod p^2
+        augmented = [[self.embed_cols[j][i] for j in range(small_degree)]
+                     + [int(a == b) for b in range(small_degree)] for a, i in enumerate(rows)]
+        reduced, _ = rref_mod(augmented, big.p2, p)
+        self._proj_inv = [row[small_degree:] for row in reduced]
 
         self.field_ratio = ratio
         self._check_compatibility()
-
-    def _independent_rows(self, p: int) -> list[int]:
-        r_small = len(self.embed_cols)
-        chosen: list[int] = []
-        basis: list[list[int]] = []
-        for i in range(self.big.r):
-            row = [self.embed_cols[j][i] % p for j in range(r_small)]
-            trial = basis + [row]
-            if self._rank_mod_p(trial, p) == len(trial):
-                chosen.append(i)
-                basis = trial
-                if len(chosen) == r_small:
-                    return chosen
-        raise IncompatibleTowerError("embedding matrix is rank deficient")
-
-    @staticmethod
-    def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-        mat = [list(r) for r in rows]
-        rank = 0
-        ncols = len(mat[0]) if mat else 0
-        for col in range(ncols):
-            pivot = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
-            if pivot is None:
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = pow(mat[rank][col], -1, p)
-            mat[rank] = [(x * inv) % p for x in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][col] % p:
-                    f = mat[i][col]
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-            rank += 1
-        return rank
 
     def _check_compatibility(self):
         # the embedding must commute with reduction mod p on all of the subring
@@ -711,7 +707,8 @@ class RingTower:
             a = self.small.from_code(code)
             lhs = self.big.reduce_mod_p(self.embed(a))
             rhs = self.embed_field(self.small.reduce_mod_p(a))
-            assert lhs == rhs, "embedding does not commute with reduction mod p"
+            if lhs != rhs:
+                raise IncompatibleTowerError("embedding does not commute with reduction mod p")
 
     # -- ring maps ---------------------------------------------------------
 
@@ -742,12 +739,7 @@ class RingTower:
         """Relative trace R_big -> R_small: the sum of the sigma_q orbit."""
         if a.ring is not self.big:
             raise InvalidTowerError("element does not belong to the extension ring")
-        acc = self.big.zero
-        cur = a
-        for _ in range(self.s):
-            acc = acc + cur
-            cur = self.big.frobenius(cur, self.small.q)
-        return self.project(acc)
+        return self.project(self.big.orbit_sum(a, self.small.q, self.s))
 
     def fixed_by_frobenius(self, a: GaloisRingElement) -> bool:
         return self.big.frobenius(a, self.small.q) == a
@@ -771,12 +763,7 @@ class RingTower:
 
     def field_trace(self, y: int) -> int:
         """Relative field trace F_Q -> F_q, returned as a small-field code."""
-        FQ = self.big.residue_field
-        acc, cur = 0, y
-        for _ in range(self.s):
-            acc = FQ.add(acc, cur)
-            cur = FQ.pow(cur, self.small.q)
-        return self.project_field(acc)
+        return self.project_field(self.big.residue_field.orbit_sum(y, self.small.q, self.s))
 
     def __repr__(self):
         return f"RingTower({self.small!r} in {self.big!r})"

@@ -3,19 +3,20 @@
 Every suite produces a VerificationReport whose records each carry a check
 id, an anchor naming the identity being exercised, the predicted value, the
 observed value, and an exact pass/fail verdict.  Reports are deterministic:
-identical inputs give byte-identical serializations regardless of the
-worker-thread count (sweeps are chunked in index order and merged in order).
+sweeps run in one thread, in index order, so identical inputs give
+byte-identical serializations.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .characters import CharacterSystem
 from .codes import CodeContext
+from .cyclotomic import exact_int
 from .gray import (
     gray_image_analyze,
     hom_weight_vec,
@@ -98,47 +99,26 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _chunked_map(worker, items, threads: int):
-    """Order-preserving parallel map; falls back to a plain loop for 1 thread."""
-    if threads <= 1:
-        return [worker(item) for item in items]
-    chunks = [items[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda chunk: [worker(x) for x in chunk], chunks))
-    merged: list = [None] * len(items)
-    for offset, part in enumerate(results):
-        merged[offset::threads] = part
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_gauss_equivalence(
-    ring: GaloisRing, threads: int = 1, full: bool = False
-) -> VerificationReport:
+def suite_gauss_equivalence(ring: GaloisRing, full: bool = False) -> VerificationReport:
     """Closed-form Gauss sums against the definitional sums, all (chi, lambda)."""
     report = VerificationReport(
         "2.1", {"p": ring.p, "r": ring.r, "modulus": list(ring.modulus)}
     )
     system = CharacterSystem(ring)
-    chars = list(system.all_mult_chars())
     betas = list(ring.elements())
-
-    def check_char(chi):
+    total_pairs = 0
+    total_bad = 0
+    for chi in system.all_mult_chars():
         mismatches = []
         for beta in betas:
             lhs = system.gauss_sum_closed_form(chi, beta)
             rhs = system.gauss_sum_definition(chi, beta)
             if lhs != rhs:
                 mismatches.append((beta, lhs, rhs))
-        return chi, mismatches
-
-    results = _chunked_map(check_char, chars, threads)
-    total_pairs = 0
-    total_bad = 0
-    for chi, mismatches in results:
         total_pairs += len(betas)
         total_bad += len(mismatches)
         if full:
@@ -186,35 +166,19 @@ def _ctx_params(ctx: CodeContext) -> dict:
     }
 
 
-def suite_component_counts(
-    ctx: CodeContext, threads: int = 1, full: bool = False
-) -> VerificationReport:
+def suite_component_counts(ctx: CodeContext, full: bool = False) -> VerificationReport:
     """Character-sum symbol counts against direct tallies, all (beta, a)."""
     report = VerificationReport("3.1", _ctx_params(ctx))
     q2 = ctx.q * ctx.q
-    beta_codes = list(range(ctx.Q * ctx.Q))
-    # warm the per-context character tables so worker threads only read them
-    for warm in (
-        ctx._table_I_unit, ctx._table_I_pteich, ctx._table_I_zero,
-        ctx._table_II_unit, ctx._table_field_eprime, ctx._table_1_pteich,
-    ):
-        warm()
-
-    def check_beta(code):
+    beta_codes = range(ctx.Q * ctx.Q)
+    for code in beta_codes:
         beta = ctx.big.from_code(code)
         counted = ctx.count_components(beta)
-        formula = {a: ctx.theorem31_N(beta, ctx.small.from_code(a)) for a in range(q2)}
-        return code, formula, counted
-
-    for code, formula, counted in _chunked_map(check_beta, beta_codes, threads):
-        pred = [formula[a] for a in range(q2)]
+        pred = [ctx.theorem31_N(beta, ctx.small.from_code(a)) for a in range(q2)]
         obs = [counted[a] for a in range(q2)]
         if full or pred != obs:
             report.add(
-                f"beta-{format_element(ctx.big.from_code(code))}",
-                "3.1-formula-vs-enumeration",
-                pred,
-                obs,
+                f"beta-{format_element(beta)}", "3.1-formula-vs-enumeration", pred, obs
             )
     report.add(
         "all-beta",
@@ -246,8 +210,6 @@ def _table_report_records(report, table, anchor: str) -> None:
 
 
 def suite_table1(ctx: CodeContext) -> VerificationReport:
-    from fractions import Fraction
-
     report = VerificationReport("3.3", _ctx_params(ctx))
     _table_report_records(report, ctx.theorem33_table(), "3.3-table-1")
     # the zero-count chain separating the three nonzero beta classes
@@ -281,35 +243,21 @@ def suite_params_34(ctx: CodeContext) -> VerificationReport:
     return report
 
 
-def suite_hom_weights(
-    ctx: CodeContext, threads: int = 1, full: bool = False
-) -> VerificationReport:
+def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationReport:
     """Closed-form homogeneous weights against direct weights, all beta."""
     report = VerificationReport("4.4", _ctx_params(ctx))
     weights = ctx.hom_weight_per_beta()
     tilde = ctx.build_tilde_code()
-    beta_codes = list(range(ctx.Q * ctx.Q))
-    for warm in (ctx._table_I_zero, ctx._table_field_eprime):
-        warm()
-
-    def check_beta(code):
+    beta_codes = range(ctx.Q * ctx.Q)
+    bad_scaling = 0
+    for code in beta_codes:
         beta = ctx.big.from_code(code)
         formula = theorem44_hom_weight(ctx, beta)
         direct = int(weights[code])
-        tilde_direct = hom_weight_vec(ctx.encode_tilde(beta))
-        scaled_ok = formula % tilde.l == 0 and formula // tilde.l == tilde_direct
-        return code, formula, direct, scaled_ok
-
-    bad_scaling = 0
-    for code, formula, direct, scaled_ok in _chunked_map(check_beta, beta_codes, threads):
         if full or formula != direct:
-            report.add(
-                f"beta-{format_element(ctx.big.from_code(code))}",
-                "4.4-formula-vs-direct",
-                formula,
-                direct,
-            )
-        if not scaled_ok:
+            report.add(f"beta-{format_element(beta)}", "4.4-formula-vs-direct", formula, direct)
+        tilde_direct = hom_weight_vec(ctx.encode_tilde(beta))
+        if formula % tilde.l != 0 or formula // tilde.l != tilde_direct:
             bad_scaling += 1
     report.add(
         "all-beta",
@@ -336,16 +284,10 @@ def suite_table2(ctx: CodeContext) -> VerificationReport:
 
 def suite_gray_images(ctx: CodeContext) -> VerificationReport:
     """Two-distance property and closed-form distances of the Gray images."""
-    from fractions import Fraction
-
     report = VerificationReport("4.6", _ctx_params(ctx))
     ctx._require_table_hypotheses(need_e_one=False)
     q, Q, pd, e = ctx.q, ctx.Q, ctx.p**ctx.d, ctx.e
-
-    def exact(num, den):
-        value = Fraction(num, den)
-        assert value.denominator == 1
-        return int(value)
+    exact = lambda num, den: exact_int(Fraction(num, den), "Gray image closed form")
 
     plain = gray_image_analyze(ctx, "C")
     tilde = gray_image_analyze(ctx, "Ctilde")

@@ -92,6 +92,14 @@ def test_code_weights_csv_deterministic_across_threads():
     assert "hamming,8,3" in first
 
 
+def test_threads_out_of_range_rejected():
+    # --threads has no effect, but its range is still checked
+    for value in ("0", "65"):
+        status, _, err = run_cli("ring", "info", "--p", "2", "--r", "1", "--threads", value)
+        assert status == 2
+        assert "between 1 and 64" in err
+
+
 def test_code_verify_pass():
     status, out, _ = run_cli(
         "code", "verify", "--theorem", "3.1", "--p", "2", "--r", "1", "--s", "2",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,20 @@ def test_dual_dimension_theorem():
         for a in basis:
             for x in perp:
                 assert F27.trace_to_prime(F27.mul(a, x)) == 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_dual_subspace_p5(r):
+    field = FiniteField(5, r)
+    rng = random.Random(r)
+    for size in range(r + 2):
+        for _ in range(4):
+            basis = echelon_basis(field, [rng.randrange(field.q) for _ in range(size)])
+            perp = dual_subspace(field, basis)
+            assert len(perp) == r - len(basis)
+            for a in basis:
+                for x in perp:
+                    assert field.trace_to_prime(field.mul(a, x)) == 0
 
 
 # -- group construction -----------------------------------------------------------

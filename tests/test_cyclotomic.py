@@ -1,10 +1,16 @@
 import doctest
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grcodes
 import grcodes.cyclotomic as cyc
-from grcodes.cyclotomic import CyclotomicInteger, cyclotomic_polynomial
+from grcodes.cyclotomic import CyclotomicInteger, cyclotomic_polynomial, exact_int
 from grcodes.errors import NotRationalError, OrderMismatchError
 
 
@@ -94,3 +100,31 @@ def test_coercion_is_ring_homomorphism():
 def test_integer_embedding_roundtrip():
     for value in (-5, 0, 1, 42):
         assert CyclotomicInteger.from_int(20, value).as_rational_integer() == value
+
+
+def test_exact_int():
+    assert exact_int(Fraction(6, 3), "six thirds") == 2
+    with pytest.raises(NotRationalError, match="one half is not integral: 1/2"):
+        exact_int(Fraction(1, 2), "one half")
+
+
+def test_exact_int_raises_under_optimize():
+    # python -O strips assert statements; the integrality check must survive it
+    script = (
+        "from fractions import Fraction\n"
+        "from grcodes.cyclotomic import exact_int\n"
+        "from grcodes.errors import NotRationalError\n"
+        "assert False, 'assert statements are live'\n"
+        "try:\n"
+        "    exact_int(Fraction(1, 2), 'one half')\n"
+        "except NotRationalError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = str(Path(grcodes.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from grcodes.errors import (
     IncompatibleTowerError,
+    InvalidTowerError,
     NonPrimitiveInputError,
     NotAUnitError,
     ScaleGuardError,
@@ -244,6 +245,19 @@ def test_diagram_commutes(tower42):
         lhs = tower42.small.reduce_mod_p(tower42.trace(a))
         rhs = tower42.field_trace(big.reduce_mod_p(a))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "p, big_degree, small_degree", [(2, 4, 2), (3, 2, 1), (5, 2, 1), (5, 4, 2)]
+)
+def test_project_inverts_embed(p, big_degree, small_degree):
+    tower = RingTower(GaloisRing(p, big_degree), small_degree)
+    for a in tower.small.elements():
+        assert tower.project(tower.embed(a)) == a
+    outside = tower.big.xi
+    assert not tower.fixed_by_frobenius(outside)
+    with pytest.raises(InvalidTowerError):
+        tower.project(outside)
 
 
 def test_incompatible_tower():
