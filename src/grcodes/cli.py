@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characters import CharacterSystem
 from .codes import CodeContext, build_code
 from .errors import GRCodesError
@@ -337,14 +339,17 @@ def cmd_code_weights(cfg: RunConfig) -> int:
     if cfg.full:
         mat = ctx.symbol_matrix()
         hom = ctx.hom_weight_per_beta()
+        q2 = ctx.q * ctx.q
+        names = [format_element(ctx.small.from_code(a)) for a in range(q2)]
         rows = []
         for code in range(ctx.Q * ctx.Q):
             beta = ctx.big.from_code(code)
-            counts = ctx.count_components(beta)
+            # symbol_matrix spot-checks its rows against the element-wise encoder
+            counts = np.bincount(mat[code], minlength=q2).tolist()
             row = {
                 "beta": format_element(beta),
-                "symbols": [format_element(ctx.small.from_code(int(c))) for c in mat[code]],
-                "counts": [counts[a] for a in range(ctx.q * ctx.q)],
+                "symbols": [names[c] for c in mat[code]],
+                "counts": counts,
                 "w_hamming": ctx.n - counts[0],
                 "w_homogeneous": int(hom[code]),
             }

@@ -146,6 +146,32 @@ def canonical_subspace_basis(
     return basis
 
 
+def check_generated_group(elements, generators) -> None:
+    """Raise unless `elements` is exactly the subgroup the generators generate.
+
+    A breadth-first walk from 1 multiplies each reached element by each
+    generator, len(elements) * len(generators) ring products in all.  The
+    reached set is the monoid the generators generate, which in a finite
+    group is the subgroup; it must stay inside `elements` and exhaust it.
+    """
+    members = {x.coeffs for x in elements}
+    one = elements[0].ring.one if elements else None
+    if one is None or one.coeffs not in members:
+        raise InvalidSubgroupError("G is not closed under multiplication")
+    reached = {one.coeffs}
+    queue = [one]
+    for x in queue:  # the queue grows while it is walked
+        for g in generators:
+            y = x * g
+            if y.coeffs not in members:
+                raise InvalidSubgroupError("G is not closed under multiplication")
+            if y.coeffs not in reached:
+                reached.add(y.coeffs)
+                queue.append(y)
+    if len(reached) != len(members):
+        raise InvalidSubgroupError("G is not closed under multiplication")
+
+
 # ---------------------------------------------------------------------------
 # weight tables and reports
 # ---------------------------------------------------------------------------
@@ -273,11 +299,8 @@ class CodeContext:
             raise InvalidSubgroupError("group enumeration produced duplicates")
         elements.sort(key=lambda x: x.code)
         self.group_elements = elements
-        self._group_codes = {x.coeffs for x in elements}
-        for x in elements:  # exhaustive closure check
-            for y in elements:
-                if (x * y).coeffs not in self._group_codes:
-                    raise InvalidSubgroupError("G is not closed under multiplication")
+        # reaching the whole set from 1 by the generators, never leaving it, proves it a group
+        check_generated_group(elements, self._subgroup_generators("G")[0])
 
         # dual-subspace data for the closed-form tables
         self.vbar_perp = dual_subspace(FQ, self.spec.vbar_basis)

@@ -1,8 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import grcodes
 from grcodes.cli import RunConfig, main
+from grcodes.codes import build_code
+from grcodes.rings import format_element
 
 
 def run_cli(*argv):
@@ -90,6 +99,46 @@ def test_code_weights_csv_deterministic_across_threads():
     assert first == second
     assert first.startswith("table,key,value\n")
     assert "hamming,8,3" in first
+
+
+@pytest.mark.parametrize(
+    "flags, args, kwargs",
+    [
+        (("--p", "2", "--r", "1", "--s", "2", "--sprime", "1", "--e", "1", "--vbar", "full"),
+         (2, 1, 2), dict(e=1, d=2, sprime=1)),
+        (("--p", "5", "--r", "1", "--s", "2", "--e", "4", "--d", "1"),
+         (5, 1, 2), dict(e=4, d=1)),
+    ],
+)
+def test_code_weights_full_rows_match_direct_tally(flags, args, kwargs):
+    status, out, _ = run_cli("code", "weights", *flags, "--full", "--format", "json")
+    assert status == 0
+    rows = json.loads(out)["per_beta"]
+    ctx = build_code(*args, **kwargs)
+    assert len(rows) == ctx.Q * ctx.Q
+    for code, row in enumerate(rows):
+        beta = ctx.big.from_code(code)
+        assert row["beta"] == format_element(beta)
+        counts = ctx.count_components(beta)
+        assert row["counts"] == [counts[a] for a in range(ctx.q * ctx.q)]
+        assert sum(row["counts"]) == ctx.n
+        assert row["w_hamming"] == ctx.n - row["counts"][0]
+
+
+def test_verify_suite_same_under_optimize():
+    # python -O strips assert statements; no check on the suite path may rely on them
+    argv = ["-m", "grcodes.cli", "code", "verify", "--theorem", "3.4", "--p", "2", "--r", "1",
+            "--s", "2", "--sprime", "1", "--e", "1", "--vbar", "full", "--format", "json"]
+    src = str(Path(grcodes.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert json.loads(plain.stdout)["summary"]["failed"] == 0
 
 
 def test_threads_out_of_range_rejected():

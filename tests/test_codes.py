@@ -10,6 +10,7 @@ from grcodes.codes import (
     BETA_ZERO,
     build_code,
     canonical_subspace_basis,
+    check_generated_group,
     dual_subspace,
     echelon_basis,
     span_subspace,
@@ -91,6 +92,74 @@ def test_invalid_subgroup():
         build_code(2, 1, 2, e=1, vbar_basis=[1, 1])  # dependent rows
     with pytest.raises(InvalidSubgroupError):
         build_code(2, 1, 2, e=1)  # neither vbar nor d
+
+
+NOT_CLOSED = "G is not closed under multiplication"
+
+
+def _pairwise_closed(elements) -> bool:
+    """The exhaustive n^2 closure test, kept as an oracle for the generator check."""
+    members = {x.coeffs for x in elements}
+    return all((x * y).coeffs in members for x in elements for y in elements)
+
+
+def _g_generators(ctx):
+    return ctx._subgroup_generators("G")[0]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, n",
+    [
+        ((2, 1, 2), dict(e=1, d=2, sprime=1), 12),
+        ((2, 1, 2), dict(e=3, d=1), 2),
+        ((2, 1, 2), dict(e=3, d=0), 1),
+        ((3, 1, 3), dict(e=2, d=2, sprime=1), 117),
+        ((5, 1, 2), dict(e=4, d=1), 30),
+    ],
+)
+def test_generator_check_agrees_with_pairwise_oracle(args, kwargs, n):
+    ctx = build_code(*args, **kwargs)
+    assert ctx.n == n == len(ctx.group_elements)
+    assert _pairwise_closed(ctx.group_elements)
+    check_generated_group(ctx.group_elements, _g_generators(ctx))
+
+
+def test_generator_check_rejects_a_missing_element(ctx212):
+    dropped = ctx212.group_elements[-1]
+    assert dropped != ctx212.big.one
+    holed = [x for x in ctx212.group_elements if x != dropped]
+    assert not _pairwise_closed(holed)
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group(holed, _g_generators(ctx212))
+
+
+def test_generator_check_rejects_a_swapped_element(ctx212):
+    # same size as G, so only the membership test on each product catches it
+    dropped = ctx212.group_elements[-1]
+    swapped = [x for x in ctx212.group_elements if x != dropped] + [ctx212.big.one * 2]
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group(swapped, _g_generators(ctx212))
+
+
+def test_generator_check_rejects_a_union_of_cosets(ctx_e3):
+    # G u xG is closed under G's generators, but xG is not reached from 1
+    x = ctx_e3.big.xi
+    assert x.coeffs not in {g.coeffs for g in ctx_e3.group_elements}
+    union = ctx_e3.group_elements + [x * g for g in ctx_e3.group_elements]
+    assert len({u.coeffs for u in union}) == 2 * ctx_e3.n
+    assert not _pairwise_closed(union)
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group(union, _g_generators(ctx_e3))
+
+
+def test_generator_check_rejects_a_set_without_one(ctx_e3):
+    coset = [ctx_e3.big.xi * g for g in ctx_e3.group_elements]
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group(coset, _g_generators(ctx_e3))
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group([], _g_generators(ctx_e3))
+    with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
+        check_generated_group([ctx_e3.big.xi], [])  # no generators: the walk never leaves 1
 
 
 def test_canonical_subspace_requires_room():
