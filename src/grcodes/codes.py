@@ -27,15 +27,24 @@ from .characters import (
     gauss_sum_field,
     ring_quotient_characters,
 )
-from .cyclotomic import CyclotomicInteger, exact_int
+from .cyclotomic import CyclotomicInteger, _reduction_rows, exact_int
 from .errors import (
     IncompatibleTowerError,
     InvalidSubgroupError,
     InvalidTowerError,
     NegativeCountError,
+    NonPrimitiveInputError,
+    NotAUnitError,
     PreconditionViolatedError,
 )
-from .rings import FiniteField, GaloisRing, GaloisRingElement, RingTower, rref_mod
+from .rings import (
+    FiniteField,
+    GaloisRing,
+    GaloisRingElement,
+    RingTower,
+    prime_factors,
+    rref_mod,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +179,71 @@ def check_generated_group(elements, generators) -> None:
                 queue.append(y)
     if len(reached) != len(members):
         raise InvalidSubgroupError("G is not closed under multiplication")
+
+
+# ---------------------------------------------------------------------------
+# log coordinates and stored character tables
+# ---------------------------------------------------------------------------
+
+# The formula kernel sums int64 arrays only while max|R| * sum|W| stays below
+# this; it bounds every partial sum.  Larger tables run on Python ints.
+INT64_SUM_BOUND = 2**62
+
+
+def log_table(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray]:
+    """Log coordinates (k, v) of every element code of GR(p^2, r).
+
+    A unit is xi^k (1 + p T(v)) with v a residue code; a nonzero non-unit is
+    p xi^k, stored with v = -1; zero is (-1, -1).  The table is built forward
+    from the stored xi powers, xi^k (1 + p T(v)) = xi^k + p xi^(k + log v),
+    and must hit every code exactly once.
+    """
+    p, q, p2 = ring.p, ring.q, ring.p2
+    field = ring.residue_field
+    xi = np.array([x.coeffs for x in ring.xi_powers], dtype=np.int64)  # (q-1, r)
+    ks = np.arange(q - 1)
+    residue_logs = np.array([field.log[v] for v in range(1, q)], dtype=np.int64)
+    shifted = xi[(ks[:, None] + residue_logs[None, :]) % (q - 1)]  # xi^(k + log v)
+    place = p2 ** np.arange(ring.r, dtype=np.int64)
+    unit_codes = np.empty((q - 1, q), dtype=np.int64)
+    unit_codes[:, 0] = xi @ place
+    unit_codes[:, 1:] = ((xi[:, None, :] + p * shifted) % p2) @ place
+    ideal_codes = (p * xi % p2) @ place
+    k = np.full(q * q, -1, dtype=np.int64)
+    v = np.full(q * q, -1, dtype=np.int64)
+    k[unit_codes] = ks[:, None]
+    v[unit_codes] = np.arange(q)[None, :]
+    k[ideal_codes] = ks
+    hits = np.bincount(np.concatenate([[0], unit_codes.ravel(), ideal_codes]), minlength=q * q)
+    if (hits != 1).any():
+        raise NonPrimitiveInputError("log coordinates do not hit every ring element once")
+    return k, v
+
+
+def _int_array(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints when some entry does not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True)
+class CharTable:
+    """Characters chi = (i, b) and their weights W_chi, as arrays.
+
+    ``index`` holds i, and ``trace[chi, v]`` holds tr(b_bar * v) for each
+    residue code v (None for characters of the residue field, where b = 0).
+    W_chi = sum_l coeffs[chi, l] zeta_m^support[chi, l] keeps only the
+    nonzero terms of the group-algebra form, padded with zero coefficients:
+    Gauss sums of ring characters have at most a few.
+    """
+
+    index: np.ndarray
+    trace: np.ndarray | None
+    support: np.ndarray
+    coeffs: np.ndarray
+    abs_sum: int  # sum of |coeffs|
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +473,6 @@ class CodeContext:
             table[j] = gauss_sum_field(self.big.residue_field, j, self.m)
         return table[j]
 
-    def _field_char_exp(self, j: int, code: int) -> int:
-        """Exponent of the j-th big-field character at a nonzero field code."""
-        scale = self.m // (self.Q - 1)
-        return (j * self.big.residue_field.log[code] % (self.Q - 1)) * scale % self.m
-
     def _restrict_char(self, chi):
         """Restriction of a big-ring character to the embedded subring."""
         i, b = chi
@@ -413,58 +482,184 @@ class CodeContext:
 
     # precomputed (character, Gauss-sum product) tables for the formulas ------
 
-    def _table_I_unit(self):
+    def _char_table(self, index, rows, teich=None) -> CharTable:
+        """Store characters (i, b) with weights given as length-m coefficient rows.
+
+        Field characters have no b and pass no ``teich``.
+        """
+        terms = [[(k, c) for k, c in enumerate(row) if c] for row in rows]
+        width = max([1] + [len(t) for t in terms])
+        pad = [(0, 0)] * width
+        support = np.array([[k for k, _ in (t + pad)[:width]] for t in terms], dtype=np.int64)
+        coeffs = [[c for _, c in (t + pad)[:width]] for t in terms]
+        abs_sum = sum(abs(c) for row in coeffs for c in row)
+        trace = None
+        if teich is not None:
+            FQ = self.big.residue_field
+            trace = np.array([
+                [FQ.trace_to_prime(FQ.mul(b_bar, v)) for v in FQ.elements()]
+                for b_bar in map(self.big.reduce_mod_p, teich)
+            ], dtype=np.int64).reshape(len(teich), self.Q)
+        return CharTable(
+            index=np.array(index, dtype=np.int64),
+            trace=trace,
+            support=support.reshape(len(terms), width),
+            coeffs=_int_array(coeffs).reshape(len(terms), width),
+            abs_sum=abs_sum,
+        )
+
+    def _ring_char_table(self, chars, weights) -> CharTable:
+        return self._char_table(
+            [i for i, _ in chars], [w.coeffs for w in weights], [b for _, b in chars]
+        )
+
+    def _table_I_unit(self) -> CharTable:
         def build():
-            out = []
-            for chi in self.chars_mod_G():
+            chars = self.chars_mod_G()
+            weights = []
+            for chi in chars:
                 g_big = self.system.gauss_sum_closed_form(chi, self.big.one)
                 g_small = self.small_system.gauss_sum_closed_form(
                     self._restrict_char(chi), self.small.one
                 )
-                out.append((chi, g_big * g_small.conjugate()))
-            return out
+                weights.append(g_big * g_small.conjugate())
+            return self._ring_char_table(chars, weights)
         return self._cache("table_I_unit", build)
 
-    def _table_I_pteich(self):
+    def _table_I_pteich(self) -> CharTable:
         def build():
-            out = []
-            for chi in self.chars_mod_G1M():
+            chars = self.chars_mod_G1M()
+            weights = []
+            for chi in chars:
                 g_big = self.system.gauss_sum_closed_form(chi, self.big.one)
                 gq = self.small_system.gauss_sum_field_induced(chi[0])
-                out.append((chi, self.q * (g_big * gq.conjugate())))
-            return out
+                weights.append(self.q * (g_big * gq.conjugate()))
+            return self._ring_char_table(chars, weights)
         return self._cache("table_I_pteich", build)
 
-    def _table_I_zero(self):
+    def _table_I_zero(self) -> CharTable:
         def build():
-            return [
-                (chi, self.system.gauss_sum_closed_form(chi, self.big.one))
-                for chi in self.chars_mod_GRstar()
-            ]
+            chars = self.chars_mod_GRstar()
+            weights = [self.system.gauss_sum_closed_form(chi, self.big.one) for chi in chars]
+            return self._ring_char_table(chars, weights)
         return self._cache("table_I_zero", build)
 
-    def _table_II_unit(self):
+    def _table_II_unit(self) -> CharTable:
         def build():
-            out = []
-            for j in self.field_chars_mod_D():
-                gq = self.small_system.gauss_sum_field_induced(j)
-                out.append((j, self.Q * (self._field_gauss(j) * gq.conjugate())))
-            return out
+            js = self.field_chars_mod_D()
+            weights = [
+                self.Q * (self._field_gauss(j) * self.small_system.gauss_sum_field_induced(j)
+                          .conjugate())
+                for j in js
+            ]
+            return self._char_table(js, [w.coeffs for w in weights])
         return self._cache("table_II_unit", build)
 
-    def _table_field_eprime(self):
+    def _table_field_eprime(self) -> CharTable:
         def build():
-            return [(j, self._field_gauss(j)) for j in self.field_chars_mod_eprime()]
+            js = self.field_chars_mod_eprime()
+            return self._char_table(js, [self._field_gauss(j).coeffs for j in js])
         return self._cache("table_field_eprime", build)
 
-    def _table_1_pteich(self):
+    def _table_1_pteich(self) -> CharTable:
         def build():
-            out = []
-            for j in self.field_chars_mod_D():
-                gq = self.small_system.gauss_sum_field_induced(j)
-                out.append((j, gq.conjugate() * self._field_gauss(j)))
-            return out
+            js = self.field_chars_mod_D()
+            weights = [
+                self.small_system.gauss_sum_field_induced(j).conjugate() * self._field_gauss(j)
+                for j in js
+            ]
+            return self._char_table(js, [w.coeffs for w in weights])
         return self._cache("table_1_pteich", build)
+
+    # -- the twisted-sum kernel ------------------------------------------------
+
+    def log_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log coordinates (k, v) of every big-ring code; see ``log_table``."""
+        return self._cache("log_table", lambda: log_table(self.big))
+
+    def unit_log(self, beta: GaloisRingElement) -> tuple[int, int]:
+        """(k, v) with beta = xi^k (1 + p T(v)), read from the log table."""
+        k, v = self.log_table()
+        if v[beta.code] < 0:
+            raise NotAUnitError(f"{beta!r} lies in the maximal ideal")
+        return int(k[beta.code]), int(v[beta.code])
+
+    def _embedded_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Big-ring (k, v) of each embedded small-ring code; (0, 0) at zero, v = 0 off the units."""
+        def build():
+            k, v = self.log_table()
+            codes = [self.tower.embed(self.small.from_code(a)).code for a in range(self.q**2)]
+            return np.maximum(k[codes], 0), np.maximum(v[codes], 0)
+        return self._cache("embedded_logs", build)
+
+    def _reduction(self) -> tuple[np.ndarray, int, int]:
+        """The reduction modulo Phi_m, through Phi_m(x) = Phi_rad(x^step) with rad * step = m.
+
+        rad is the product of the primes dividing m.  Returns
+        ``_reduction_rows(rad)`` as a (rad, phi(m) / step) matrix, step, and
+        the largest |entry|, which is also that of ``_reduction_rows(m)``.
+        """
+        def build():
+            rad = math.prod(prime_factors(self.m))
+            rows = _reduction_rows(rad)
+            largest = max(abs(c) for row in rows for c in row)
+            return _int_array(rows), self.m // rad, largest
+        return self._cache("reduction", build)
+
+    def _sum_dtype(self, *terms):
+        """int64 when max|R| * sum_k |c_k| * sum|W_k| < INT64_SUM_BOUND, else object.
+
+        ``terms`` are (table, c_k) pairs of a sum sum_k c_k G_k; the product
+        bounds every entry of the summed group-algebra rows and every partial
+        sum of their reduction.
+        """
+        largest = self._reduction()[2]
+        bound = largest * sum(abs(c) * table.abs_sum for table, c in terms)
+        return np.int64 if bound < INT64_SUM_BOUND else object
+
+    def _group_sums(self, table: CharTable, dk, va, vb: int, dtype) -> np.ndarray:
+        """Rows sum_chi zeta^(chi(x) - chi(y)) W_chi in group-algebra form, one per x.
+
+        x = xi^(k_y + dk) (1 + p T(va)) and y has residue vb.  Every chi is a
+        homomorphism, so chi(x) - chi(y) is read off the log coordinates, and
+        the rows are one exact integer scatter-add of the terms of W.
+        """
+        m, Q, p = self.m, self.Q, self.p
+        dk = np.asarray(dk, dtype=np.int64)
+        exps = (table.index[:, None] * dk[None, :]) % (Q - 1) * (m // (Q - 1))
+        if table.trace is not None:
+            exps += (table.trace[:, va] - table.trace[:, vb, None]) % p * (m // p)
+        slots = (exps[:, :, None] + table.support[:, None, :]) % m + m * np.arange(len(dk))[:, None]
+        terms = np.broadcast_to(table.coeffs[:, None, :], slots.shape)
+        sums = np.zeros(len(dk) * m, dtype=dtype)
+        np.add.at(sums, slots.ravel(), terms.ravel().astype(dtype, copy=False))
+        return sums.reshape(len(dk), m)
+
+    def _canonical(self, sums: np.ndarray) -> list[list[int]]:
+        """Canonical forms modulo Phi_m of group-algebra rows: one matrix product.
+
+        x^(step*u + w) = y^u x^w with y = x^step, so each residue w mod step
+        reduces y^u modulo Phi_rad(y), and the result is the canonical form
+        ordered by exponent.
+        """
+        reduction, step, _ = self._reduction()
+        rad, deg = reduction.shape
+        blocks = sums.reshape(len(sums), rad, step).transpose(0, 2, 1)
+        reduced = blocks @ reduction.astype(sums.dtype, copy=False)  # (rows, step, deg)
+        return reduced.transpose(0, 2, 1).reshape(len(sums), deg * step).tolist()
+
+    def _rational(self, canonical: list[int]) -> int:
+        """The integer a canonical form over Z[zeta_m] stands for."""
+        if any(canonical[1:]):  # raises NotRationalError, worded as on the scalar route
+            padded = canonical + [0] * (self.m - len(canonical))
+            CyclotomicInteger(self.m, padded).as_rational_integer()
+        return canonical[0]
+
+    def _rational_sums(self, terms, dk, va=None, vb: int = 0) -> list[int]:
+        """sum_k c_k sum_chi zeta^(chi(x) - chi(y)) W_chi for each x, as integers."""
+        dtype = self._sum_dtype(*terms)
+        sums = sum(c * self._group_sums(table, dk, va, vb, dtype) for table, c in terms)
+        return [self._rational(row) for row in self._canonical(sums)]
 
     # -- encoding and direct counting ----------------------------------------
 
@@ -534,92 +729,89 @@ class CodeContext:
             return BETA_P_TEICH
         if self.s_dual is None:
             raise PreconditionViolatedError("S-condition requires the s' tower data")
-        _, beta2 = self.big.unit_decompose(beta)
+        _, beta2_bar = self.unit_log(beta)
         FQ = self.big.residue_field
         # relative trace F_Q -> F_{Q'}, the value kept inside F_Q
-        trace = FQ.orbit_sum(self.big.reduce_mod_p(beta2), self.q**self.sprime, self.p)
+        trace = FQ.orbit_sum(beta2_bar, self.q**self.sprime, self.p)
         return BETA_UNIT_S if FQ.add(trace, 1) in self.s_dual else BETA_UNIT_NO_S
 
     # -- the general component-count formula -----------------------------------
 
-    def _twisted_sum(self, table, exponent_fn) -> CyclotomicInteger:
-        total = CyclotomicInteger.zero(self.m)
-        for key, weight in table:
-            total = total + CyclotomicInteger.zeta(self.m, exponent_fn(key)) * weight
-        return total
+    def _count(self, num: int, den: int) -> int:
+        """The count num/den; NegativeCountError unless it is an integer in 0..n."""
+        if num % den == 0 and 0 <= num // den <= self.n:
+            return num // den
+        raise NegativeCountError(
+            f"component-count formula produced {Fraction(num, den)}, outside 0..{self.n}"
+        )
 
-    def _as_count(self, value: Fraction) -> int:
-        if value.denominator != 1 or not (0 <= value <= self.n):
-            raise NegativeCountError(
-                f"component-count formula produced {value}, outside 0..{self.n}"
-            )
-        return int(value)
+    def theorem31_row(self, beta: GaloisRingElement) -> list[int]:
+        """N_beta(a) for every small-ring code a, from the exact character-sum formula.
+
+        Each class of a (unit, zero, p * Teichmuller) is one exact scatter-add
+        over the stored tables, and the row one reduction modulo Phi_m;
+        nothing is counted.  Raises at the first a, in code order, whose value
+        is not rational (NotRationalError) or not a count in 0..n
+        (NegativeCountError).
+        """
+        n, q, Q = self.n, self.q, self.Q
+        q2 = q * q
+        if beta.is_zero():
+            return [n] + [0] * (q2 - 1)
+        logs_k, logs_v = self.log_table()
+        bk, bv = int(logs_k[beta.code]), int(logs_v[beta.code])
+        ak, av = self._embedded_logs()
+        classes = self.small_symbol_classes()
+        units, pteich = np.flatnonzero(classes == 1), np.flatnonzero(classes == 2)
+        at_one = np.array([-bk])  # a twist by chi(1) - chi(beta)
+        ep = self._table_field_eprime()
+
+        if bv < 0:  # beta = p * xi^bk: units a never occur
+            one_p = self._table_1_pteich()
+            dtype = self._sum_dtype((ep, 1), (one_p, 1))
+            sums = np.concatenate([
+                self._group_sums(ep, at_one, None, 0, dtype),
+                self._group_sums(one_p, ak[pteich] - bk, None, 0, dtype),
+            ])
+            totals = self._canonical(sums)
+            row = [0] * q2
+            den = q * (Q - 1)
+            row[0] = self._count(n * (Q - 1 + (q - 1) * self._rational(totals[0])), den)
+            for a, total in zip(pteich.tolist(), totals[1:]):
+                row[a] = self._count(n * (Q - 1 + self._rational(total)), den)
+            return row
+
+        I_unit, II_unit = self._table_I_unit(), self._table_II_unit()
+        I_zero, I_pteich = self._table_I_zero(), self._table_I_pteich()
+        c_ep = Q * (q - 1)
+        # one bound over all the tables covers each class's sum
+        dtype = self._sum_dtype(
+            (I_unit, 1), (II_unit, 1), (I_zero, q * (q - 1)), (I_pteich, 1), (ep, c_ep)
+        )
+        sums = np.empty((q2, self.m), dtype=dtype)
+        du = ak[units] - bk
+        sums[units] = (self._group_sums(I_unit, du, av[units], bv, dtype)
+                       + self._group_sums(II_unit, du, None, bv, dtype))
+        part_ep = c_ep * self._group_sums(ep, at_one, None, bv, dtype)
+        sums[0] = q * (q - 1) * self._group_sums(I_zero, at_one, [0], bv, dtype)[0] + part_ep[0]
+        sums[pteich] = self._group_sums(
+            I_pteich, ak[pteich] - bk, np.zeros_like(pteich), bv, dtype
+        ) + part_ep
+        den = q2 * Q * (Q - 1)
+        return [
+            self._count(n * (Q * (Q - 1) + self._rational(total)), den)
+            for total in self._canonical(sums)
+        ]
 
     def theorem31_N(self, beta: GaloisRingElement, a: GaloisRingElement) -> int:
-        """N_beta(a) from the exact character-sum formula (never by counting)."""
-        n, q, Q = self.n, self.q, self.Q
-        if beta.is_zero():
-            return n if a.is_zero() else 0
-        big, small, tower = self.big, self.small, self.tower
-        sys_big = self.system
+        """N_beta(a) from the exact character-sum formula: one entry of ``theorem31_row``.
 
-        if not beta.is_unit:
-            _, b = big.teichmuller_decompose(beta)
-            b_bar = big.reduce_mod_p(b)
-            if a.is_unit:
-                return 0
-            if a.is_zero():
-                total = self._twisted_sum(
-                    self._table_field_eprime(),
-                    lambda j: -self._field_char_exp(j, b_bar),
-                )
-                value = Fraction(n, q) + Fraction(n * (q - 1), q * (Q - 1)) * total.as_rational_integer()
-                return self._as_count(value)
-            _, c = small.teichmuller_decompose(a)
-            c_emb = tower.embed_field(small.reduce_mod_p(c))
-            total = self._twisted_sum(
-                self._table_1_pteich(),
-                lambda j: self._field_char_exp(j, c_emb) - self._field_char_exp(j, b_bar),
-            )
-            value = Fraction(n, q) + Fraction(n, q * (Q - 1)) * total.as_rational_integer()
-            return self._as_count(value)
-
-        beta_inv = big.inverse(beta)
-        beta1_bar = big.reduce_mod_p(beta)  # residue of the Teichmuller part
-        if a.is_unit:
-            a_emb = tower.embed(a)
-            part_I = self._twisted_sum(
-                self._table_I_unit(),
-                lambda chi: sys_big.mult_exponent(chi, a_emb * beta_inv),
-            )
-            a_bar_emb = tower.embed_field(small.reduce_mod_p(a))
-            part_II = self._twisted_sum(
-                self._table_II_unit(),
-                lambda j: self._field_char_exp(j, a_bar_emb) - self._field_char_exp(j, beta1_bar),
-            )
-        elif a.is_zero():
-            part_I = q * (q - 1) * self._twisted_sum(
-                self._table_I_zero(),
-                lambda chi: -sys_big.mult_exponent(chi, beta),
-            )
-            part_II = Q * (q - 1) * self._twisted_sum(
-                self._table_field_eprime(),
-                lambda j: -self._field_char_exp(j, beta1_bar),
-            )
-        else:
-            _, a2 = small.teichmuller_decompose(a)
-            a2_emb = tower.embed(a2)
-            part_I = self._twisted_sum(
-                self._table_I_pteich(),
-                lambda chi: sys_big.mult_exponent(chi, a2_emb * beta_inv),
-            )
-            part_II = Q * (q - 1) * self._twisted_sum(
-                self._table_field_eprime(),
-                lambda j: -self._field_char_exp(j, beta1_bar),
-            )
-        combined = (part_I + part_II).as_rational_integer()
-        value = Fraction(n, q * q) + Fraction(n, q * q * Q * (Q - 1)) * combined
-        return self._as_count(value)
+        The row of the last beta asked is kept, so a sweep over a costs one row.
+        """
+        last = self._caches.get("row31")
+        if last is None or last[0] != beta.code:
+            last = self._caches["row31"] = (beta.code, self.theorem31_row(beta))
+        return last[1][a.code]
 
     # -- size / minimum-distance bounds -----------------------------------------
 
@@ -627,25 +819,13 @@ class CodeContext:
         n, q, Q = self.n, self.q, self.Q
         FQ = self.big.residue_field
         table_ep = self._table_field_eprime()
-        m1 = max(
-            Fraction(
-                self._twisted_sum(table_ep, lambda j, code=b: self._field_char_exp(j, code))
-                .as_rational_integer(),
-                Q - 1,
-            )
-            for b in FQ.units()
-        )
-        table_zero = self._table_I_zero()
+        residue_logs = [FQ.log[b] for b in FQ.units()]
+        m1 = max(Fraction(c, Q - 1) for c in self._rational_sums([(table_ep, 1)], residue_logs))
+        terms = [(self._table_I_zero(), q), (table_ep, Q)]
+        logs_k, logs_v = self.log_table()
         m2 = None
-        for beta in self.big.units():
-            c1 = self._twisted_sum(
-                table_zero, lambda chi: -self.system.mult_exponent(chi, beta)
-            )
-            beta1_bar = self.big.reduce_mod_p(beta)
-            c2 = self._twisted_sum(
-                table_ep, lambda j: -self._field_char_exp(j, beta1_bar)
-            )
-            combined = (q * c1 + Q * c2).as_rational_integer()
+        for code in np.flatnonzero(logs_v >= 0).tolist():  # the units, in code order
+            (combined,) = self._rational_sums(terms, [-logs_k[code]], [0], int(logs_v[code]))
             candidate = Fraction(combined, (q + 1) * Q * (Q - 1))
             if m2 is None or candidate > m2:
                 m2 = candidate

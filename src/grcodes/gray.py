@@ -53,17 +53,15 @@ def theorem44_hom_weight(ctx: CodeContext, beta: GaloisRingElement) -> int:
     n, q, Q = ctx.n, ctx.q, ctx.Q
     if beta.is_zero():
         return 0
+    logs_k, logs_v = ctx.log_table()
+    twist = [-logs_k[beta.code]]  # chi(1) - chi(beta)
     if beta.is_unit:
-        total = ctx._twisted_sum(
-            ctx._table_I_zero(), lambda chi: -ctx.system.mult_exponent(chi, beta)
-        ).as_rational_integer()
+        (total,) = ctx._rational_sums(
+            [(ctx._table_I_zero(), 1)], twist, [0], int(logs_v[beta.code])
+        )
         value = (q - 1) * (Fraction(n) - Fraction(n, Q * (Q - 1)) * total)
-    else:
-        _, b = ctx.big.teichmuller_decompose(beta)
-        b_bar = ctx.big.reduce_mod_p(b)
-        total = ctx._twisted_sum(
-            ctx._table_field_eprime(), lambda j: -ctx._field_char_exp(j, b_bar)
-        ).as_rational_integer()
+    else:  # beta = p * xi^k
+        (total,) = ctx._rational_sums([(ctx._table_field_eprime(), 1)], twist)
         value = (q - 1) * (Fraction(n) - Fraction(n, Q - 1) * total)
     return exact_int(value, "homogeneous-weight formula")
 

@@ -17,12 +17,7 @@ from fractions import Fraction
 from .characters import CharacterSystem
 from .codes import CodeContext
 from .cyclotomic import exact_int
-from .gray import (
-    gray_image_analyze,
-    hom_weight_vec,
-    theorem44_hom_weight,
-    theorem45_table,
-)
+from .gray import gray_image_analyze, theorem44_hom_weight, theorem45_table
 from .rings import GaloisRing, format_element
 
 
@@ -248,6 +243,7 @@ def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationRepor
     report = VerificationReport("4.4", _ctx_params(ctx))
     weights = ctx.hom_weight_per_beta()
     tilde = ctx.build_tilde_code()
+    tilde_weights = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
     beta_codes = range(ctx.Q * ctx.Q)
     bad_scaling = 0
     for code in beta_codes:
@@ -256,8 +252,7 @@ def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationRepor
         direct = int(weights[code])
         if full or formula != direct:
             report.add(f"beta-{format_element(beta)}", "4.4-formula-vs-direct", formula, direct)
-        tilde_direct = hom_weight_vec(ctx.encode_tilde(beta))
-        if formula % tilde.l != 0 or formula // tilde.l != tilde_direct:
+        if formula % tilde.l != 0 or formula // tilde.l != tilde_weights[code]:
             bad_scaling += 1
     report.add(
         "all-beta",

@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from grcodes import codes
+from grcodes.cyclotomic import CyclotomicInteger
 from grcodes.codes import (
     BETA_P_TEICH,
     BETA_UNIT_NO_S,
@@ -13,13 +18,19 @@ from grcodes.codes import (
     check_generated_group,
     dual_subspace,
     echelon_basis,
+    log_table,
     span_subspace,
 )
 from grcodes.errors import (
     InvalidSubgroupError,
+    NegativeCountError,
+    NonPrimitiveInputError,
+    NotAUnitError,
+    NotRationalError,
     PreconditionViolatedError,
 )
-from grcodes.rings import FiniteField, GaloisRing
+from grcodes.gray import theorem44_hom_weight
+from grcodes.rings import FiniteField, GaloisRing, hensel_lift_basic_primitive, is_primitive_poly
 
 
 @pytest.fixture(scope="module")
@@ -401,3 +412,154 @@ def test_table1_degree_two():
     report = ctx.theorem33_table()
     assert report.all_match
     assert report.extras["code_size"] == (256, 256)
+
+
+# -- log coordinates and the array formula kernel -------------------------------------
+
+@pytest.mark.parametrize("p, rs", [(2, 4), (3, 2), (5, 2)])
+def test_log_table_matches_unit_decompose(p, rs):
+    ctx = build_code(p, 1, rs, e=p**rs - 1, d=0)  # n = 1; only the ring matters here
+    big = ctx.big
+    k, v = log_table(big)
+    assert np.array_equal(k, ctx.log_table()[0]) and np.array_equal(v, ctx.log_table()[1])
+    for x in big.elements():
+        if x.is_unit:
+            t, w = big.unit_decompose(x)
+            expected = (big.teichmuller_log[t.coeffs], big.reduce_mod_p(w))
+            assert (k[x.code], v[x.code]) == expected
+            assert ctx.unit_log(x) == expected
+            continue
+        with pytest.raises(NotAUnitError):
+            big.unit_decompose(x)
+        with pytest.raises(NotAUnitError):
+            ctx.unit_log(x)
+        assert v[x.code] == -1
+        if x.is_zero():
+            assert k[x.code] == -1
+        else:  # x = p * xi^k
+            assert big.xi_powers[k[x.code]] * p == x
+
+
+def test_log_table_rejects_a_bad_xi_table():
+    ring = GaloisRing(2, 3)
+    ring.xi_powers = ring.xi_powers[:1] * len(ring.xi_powers)  # every power set to 1
+    with pytest.raises(NonPrimitiveInputError, match="hit every ring element once"):
+        log_table(ring)
+
+
+def _tally(ctx, beta) -> list[int]:
+    counts = ctx.count_components(beta)
+    return [counts[a] for a in range(ctx.q * ctx.q)]
+
+
+def _replace_weights(ctx, monkeypatch, name, edit):
+    """Swap a cached formula table for a copy whose dense weights ``edit`` changed."""
+    table = getattr(ctx, f"_{name}")()
+    weights = np.zeros((len(table.index), ctx.m), dtype=np.int64)
+    np.add.at(weights, (np.arange(len(table.index))[:, None], table.support), table.coeffs)
+    edit(weights)
+    edited = ctx._char_table(table.index, weights.tolist())
+    monkeypatch.setitem(ctx._caches, name, dataclasses.replace(edited, trace=table.trace))
+
+
+def test_formula_kernel_raises_on_a_non_rational_weight(monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=1)
+    i, b = ctx.chars_mod_GRstar()[0]
+    assert i == 0 and b.is_zero()  # the trivial character, whose weight G(chi) is 0
+
+    def to_zeta(weights):
+        weights[0] = 0
+        weights[0, 1] = 1  # zeta_m
+
+    _replace_weights(ctx, monkeypatch, "table_I_zero", to_zeta)
+    message = rf"value is not rational: canonical form \(.*\) over Z\[zeta_{ctx.m}\]"
+    with pytest.raises(NotRationalError, match=message):
+        ctx.theorem31_row(ctx.big.one)
+    with pytest.raises(NotRationalError, match=message):
+        theorem44_hom_weight(ctx, ctx.big.one)
+    with pytest.raises(NotRationalError, match=message):
+        ctx.bounds_M1_M2()
+    # the p * T rows never read that table
+    assert ctx.theorem31_row(ctx.big.one * 2) == _tally(ctx, ctx.big.one * 2)
+
+
+def test_formula_kernel_raises_on_a_count_out_of_range(monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=1)
+    assert ctx.field_chars_mod_eprime()[0] == 0  # trivial: G_Q = -1, a rational weight
+
+    def scale(weights):
+        weights[0] *= 1000
+
+    _replace_weights(ctx, monkeypatch, "table_field_eprime", scale)
+    message = rf"component-count formula produced -?\d+(/\d+)?, outside 0\.\.{ctx.n}"
+    for beta in (ctx.big.one, ctx.big.one * 2):  # a unit and a p * T row both use it
+        with pytest.raises(NegativeCountError, match=message):
+            ctx.theorem31_row(beta)
+
+
+def test_formula_kernel_object_path_gives_identical_values(monkeypatch):
+    def results(ctx):
+        betas = list(ctx.big.elements())
+        return ([ctx.theorem31_row(beta) for beta in betas],
+                [theorem44_hom_weight(ctx, beta) for beta in betas],
+                ctx.bounds_M1_M2())
+
+    fast = build_code(3, 1, 2, e=2, d=1)
+    expected = results(fast)
+    assert fast._table_I_pteich().coeffs.dtype == np.int64
+    monkeypatch.setattr(codes, "INT64_SUM_BOUND", 0)  # every sum now runs on Python ints
+    exact = build_code(3, 1, 2, e=2, d=1)
+    assert exact._sum_dtype((exact._table_I_pteich(), 1)) is object
+    assert results(exact) == expected
+    # storage falls back to Python ints only for entries that do not fit in int64
+    assert codes._int_array([[1, -(2**63)]]).dtype == np.int64
+    assert codes._int_array([[1, 2**63]]).dtype == object
+
+
+@pytest.mark.parametrize("args, kwargs", [((2, 2, 2), dict(e=3, d=1)), ((5, 1, 2), dict(e=4, d=1))])
+def test_canonical_rows_match_cyclotomic_canonical(args, kwargs):
+    ctx = build_code(*args, **kwargs)  # m = 60 and m = 600: step 2 and step 20
+    rng = random.Random(ctx.m)
+    rows = [[rng.randrange(-50, 50) for _ in range(ctx.m)] for _ in range(4)]
+    expected = [list(CyclotomicInteger(ctx.m, row).canonical()) for row in rows]
+    assert ctx._canonical(np.array(rows, dtype=np.int64)) == expected
+    assert ctx._canonical(np.array(rows, dtype=object)) == expected
+
+
+# -- seeded random instances, p in {2, 3, 5} ------------------------------------------
+
+# Each of the Q^2 rows costs n tallies and q^2 formula values; the budget keeps
+# every instance exhaustive and quick, which leaves r*s = 4 only to p = 2
+RANDOM_WORK_BUDGET = 20000
+
+
+def _random_code(rng: random.Random, p: int):
+    """A code with r*s <= 4, e | Q - 1, 0 <= d <= r*s, a random modulus and Vbar."""
+    shapes = []
+    for r, s in itertools.product(range(1, 5), repeat=2):
+        Q, q = p ** (r * s), p**r
+        if r * s > 4:
+            continue
+        for e in (e for e in range(1, Q) if (Q - 1) % e == 0):
+            for d in range(r * s + 1):
+                if Q * Q * ((Q - 1) // e * p**d + q * q) <= RANDOM_WORK_BUDGET:
+                    shapes.append((r, s, e, d))
+    r, s, e, d = rng.choice(shapes)
+    primitive = [g + (1,) for g in itertools.product(range(p), repeat=r * s)
+                 if g[0] and is_primitive_poly(g + (1,), p)]
+    modulus = hensel_lift_basic_primitive(rng.choice(primitive), p)
+    field = FiniteField(p, r * s, tuple(c % p for c in modulus))
+    basis: list[int] = []
+    while len(basis) < d:
+        basis = echelon_basis(field, basis + [rng.randrange(1, field.q)])
+    return build_code(p, r, s, e, vbar_basis=basis, modulus=modulus)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_formulas_match_enumeration_on_random_codes(seed):
+    p = (2, 3, 5)[seed % 3]
+    ctx = _random_code(random.Random(f"formula-oracle:{seed}"), p)
+    hom = ctx.hom_weight_per_beta().tolist()
+    for beta in ctx.big.elements():
+        assert ctx.theorem31_row(beta) == _tally(ctx, beta), (ctx, beta)
+        assert theorem44_hom_weight(ctx, beta) == hom[beta.code], (ctx, beta)
