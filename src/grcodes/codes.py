@@ -220,6 +220,20 @@ def log_table(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray]:
     return k, v
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array and how often each occurs.
+
+    Rows are compared as whole byte strings, so they come back in byte
+    order, not in numeric order.  ``np.unique(a, axis=0)`` gives the same
+    set, but it sorts a structured view field by field, which is several
+    times slower on a whole symbol matrix.
+    """
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    unique, counts = np.unique(rows, return_counts=True)
+    return unique.view(a.dtype).reshape(len(unique), a.shape[1]), counts
+
+
 def _int_array(values) -> np.ndarray:
     """``values`` as int64, or as Python ints when some entry does not fit in int64."""
     try:
@@ -677,26 +691,32 @@ class CodeContext:
     def symbol_matrix(self) -> np.ndarray:
         """(Q^2, n) array of small-ring symbol codes, one row per beta code.
 
-        The encoder is Z_{p^2}-linear in the coefficient vector of beta, so
-        the whole sweep is a single modular matrix product; a spot check
-        against the element-wise encoder guards the construction.
+        With beta = sum_j b_j xi^j and x = sum_k g_k xi^k, the symbol
+        T(beta x) is sum_j b_j sum_k g_k T(xi^(j+k)): the Hankel table of
+        traces of xi^0 .. xi^(2rs-2), contracted with the coefficients of G,
+        gives W_j = T(xi^j x) for every x.  The rows for all beta are then
+        built digit by digit of the beta code, with no ring product; a spot
+        check against the element-wise encoder guards the construction.
         """
         def build():
-            p2, rs, rr = self.p * self.p, self.r * self.s, self.r
-            basis = [self.big.element([int(i == j) for i in range(rs)]) for j in range(rs)]
-            W = np.zeros((len(self.group_elements), rr, rs), dtype=np.int64)
-            for idx, x in enumerate(self.group_elements):
-                for j, bj in enumerate(basis):
-                    W[idx, :, j] = self.tower.trace(bj * x).coeffs
-            codes = np.arange(self.Q * self.Q, dtype=np.int64)
-            digits = np.empty((self.Q * self.Q, rs), dtype=np.int64)
-            rem = codes.copy()
-            for j in range(rs):
-                digits[:, j] = rem % p2
-                rem //= p2
-            symbols = np.einsum("bj,ntj->bnt", digits, W) % p2
-            weights = p2 ** np.arange(rr, dtype=np.int64)
-            mat = (symbols * weights).sum(axis=2)
+            p2, rs, rr, n = self.p * self.p, self.r * self.s, self.r, self.n
+            trace = np.array(self.tower.trace_matrix, dtype=np.int64)  # (r, rs)
+            xi = np.array([x.coeffs for x in self.big.xi_powers], dtype=np.int64)
+            hankel = xi[np.arange(2 * rs - 1) % (self.Q - 1)] @ trace.T % p2  # T(xi^i)
+            coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
+            digit = np.arange(p2, dtype=np.int64)[:, None, None, None]
+            # unsigned and wide enough for a sum of two residues mod p^2
+            dtype = np.min_scalar_type(2 * p2 - 1)
+            symbols = np.zeros((1, n, rr), dtype=dtype)
+            for j in range(rs):  # digit j of the beta code becomes the leading axis
+                w_j = coeffs @ hankel[j:j + rs] % p2  # (n, r): T(xi^j x)
+                total = ((digit * w_j % p2).astype(dtype) + symbols).reshape(-1, n, rr)
+                # reduce mod p^2: below p^2, total - p^2 wraps around above total
+                symbols = np.minimum(total, total - dtype.type(p2))
+            mat = symbols[:, :, rr - 1].astype(np.int64)
+            for t in reversed(range(rr - 1)):  # symbol code: base-p^2 digits, little-endian
+                mat *= p2
+                mat += symbols[:, :, t]
             for code in range(0, self.Q * self.Q, max(1, (self.Q * self.Q) // 8)):
                 beta = self.big.from_code(code)
                 expect = [sym.code for sym in self.encode(beta)]
@@ -722,18 +742,34 @@ class CodeContext:
             return out
         return self._cache("symbol_classes", build)
 
+    def _unit_class(self, v_bar: int) -> str:
+        """S or not-S for a unit beta whose 1 + pT part has residue v_bar."""
+        if self.s_dual is None:
+            raise PreconditionViolatedError("S-condition requires the s' tower data")
+        FQ = self.big.residue_field
+        # relative trace F_Q -> F_{Q'}, the value kept inside F_Q
+        trace = FQ.orbit_sum(v_bar, self.q**self.sprime, self.p)
+        return BETA_UNIT_S if FQ.add(trace, 1) in self.s_dual else BETA_UNIT_NO_S
+
     def beta_class(self, beta: GaloisRingElement) -> str:
         if beta.is_zero():
             return BETA_ZERO
         if not beta.is_unit:
             return BETA_P_TEICH
-        if self.s_dual is None:
-            raise PreconditionViolatedError("S-condition requires the s' tower data")
-        _, beta2_bar = self.unit_log(beta)
-        FQ = self.big.residue_field
-        # relative trace F_Q -> F_{Q'}, the value kept inside F_Q
-        trace = FQ.orbit_sum(beta2_bar, self.q**self.sprime, self.p)
-        return BETA_UNIT_S if FQ.add(trace, 1) in self.s_dual else BETA_UNIT_NO_S
+        return self._unit_class(self.unit_log(beta)[1])
+
+    def beta_classes(self) -> list[str]:
+        """``beta_class`` of every beta code, read from the log table.
+
+        A unit's class depends only on its residue v_bar, so each of the Q
+        residues is classified once.
+        """
+        logs_k, logs_v = self.log_table()
+        unit_classes = [self._unit_class(v_bar) for v_bar in range(self.Q)]
+        return [
+            unit_classes[v] if v >= 0 else BETA_P_TEICH if k >= 0 else BETA_ZERO
+            for k, v in zip(logs_k.tolist(), logs_v.tolist())
+        ]
 
     # -- the general component-count formula -----------------------------------
 
@@ -846,25 +882,25 @@ class CodeContext:
     def hamming_distribution(self) -> WeightTable:
         mat = self.symbol_matrix()
         q2 = self.q * self.q
-        zero_counts = (mat == 0).sum(axis=1)
-        weights = self.n - zero_counts
+        weights = self.n - (mat == 0).sum(axis=1)
         hamming: dict[int, int] = {}
         for w, count in enumerate(np.bincount(weights, minlength=self.n + 1)):
             if count:
                 hamming[w] = int(count)
-        complete: dict[tuple[int, ...], int] = {}
         hom_weights = self.hom_weight_per_beta()
         homogeneous: dict[int, int] = {}
         for w in hom_weights:
             homogeneous[int(w)] = homogeneous.get(int(w), 0) + 1
-        for row in mat:
-            key = tuple(int(c) for c in np.bincount(row, minlength=q2))
-            complete[key] = complete.get(key, 0) + 1
+        # every row's symbol counts in one bincount, rows offset by q^2
+        offsets = np.arange(len(mat), dtype=np.int64)[:, None] * q2
+        counts = np.bincount((offsets + mat).ravel(), minlength=len(mat) * q2)
+        rows, multiplicity = distinct_rows(counts.reshape(len(mat), q2))
+        complete = {tuple(row): count for row, count in zip(rows.tolist(), multiplicity.tolist())}
         nonzero_h = [w for w in hamming if w > 0]
         nonzero_hom = sorted({w for w in homogeneous if w > 0})
         return WeightTable(
             n=self.n,
-            size=len({tuple(row) for row in mat.tolist()}),
+            size=len(distinct_rows(mat)[0]),
             hamming=hamming,
             complete=complete,
             homogeneous=homogeneous,
@@ -942,8 +978,7 @@ class CodeContext:
         """
         observed_counts = {name: 0 for name in predictions}
         cells: dict[tuple[str, str], tuple[int, int]] = {}
-        for code in range(self.Q * self.Q):
-            bclass = self.beta_class(self.big.from_code(code))
+        for code, bclass in enumerate(self.beta_classes()):
             observed_counts[bclass] += 1
             for col, observed in observe(code):
                 predicted = predictions[bclass][col]

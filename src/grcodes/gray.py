@@ -21,6 +21,7 @@ from .codes import (
     BETA_ZERO,
     CodeContext,
     TableReport,
+    distinct_rows,
 )
 from .cyclotomic import exact_int
 from .errors import PreconditionViolatedError
@@ -140,12 +141,30 @@ class GrayImageReport:
 
 
 def _gray_matrix(ctx: CodeContext, symbol_matrix: np.ndarray) -> np.ndarray:
-    """Gray images of all codewords as one (Q^2, n*q) array of F_q codes."""
-    table = np.zeros((ctx.q * ctx.q, ctx.q), dtype=np.int64)
+    """Gray images of all codewords as one (Q^2, n*q) array of F_q codes.
+
+    The codes are stored in the smallest unsigned type that holds q - 1
+    (uint8 up to q = 256).
+    """
+    table = np.zeros((ctx.q * ctx.q, ctx.q), dtype=np.min_scalar_type(ctx.q - 1))
     for code in range(ctx.q * ctx.q):
         table[code] = gray_map(ctx.small.from_code(code))
     imgs = table[symbol_matrix]  # (Q^2, n, q)
     return imgs.reshape(symbol_matrix.shape[0], -1)
+
+
+def pair_distances(gray: np.ndarray) -> dict[int, int]:
+    """Multiset of Hamming distances over all unordered pairs of rows, by enumeration.
+
+    Each row is compared with every later row; the distances of one row are
+    counted into a single tally of length (row length + 1).
+    """
+    tally = np.zeros(gray.shape[1] + 1, dtype=np.int64)
+    for i in range(gray.shape[0] - 1):
+        diffs = np.count_nonzero(gray[i + 1:] != gray[i], axis=1)
+        tally += np.bincount(diffs, minlength=len(tally))
+    return {int(dist): int(count) for dist, count in enumerate(tally.tolist()) if count}
+
 
 def gray_image_analyze(
     ctx: CodeContext, which: str = "C", assert_two_distance: bool = False
@@ -160,17 +179,12 @@ def gray_image_analyze(
         raise ValueError("which must be 'C' or 'Ctilde'")
     mat = ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
     gray = _gray_matrix(ctx, mat)
-    size = len({tuple(row) for row in gray.tolist()})
+    size = len(distinct_rows(gray)[0])
     weights_arr = (gray != 0).sum(axis=1)
     weights: dict[int, int] = {}
     for w in weights_arr.tolist():
         weights[int(w)] = weights.get(int(w), 0) + 1
-    distances: dict[int, int] = {}
-    for i in range(gray.shape[0]):
-        if i + 1 < gray.shape[0]:
-            diffs = (gray[i + 1:] != gray[i]).sum(axis=1)
-            for dist, count in zip(*np.unique(diffs, return_counts=True)):
-                distances[int(dist)] = distances.get(int(dist), 0) + int(count)
+    distances = pair_distances(gray)
     nonzero = sorted(d for d in distances if d > 0)
     two_distance = len(nonzero) == 2
     if assert_two_distance and not two_distance:

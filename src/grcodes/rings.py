@@ -8,13 +8,17 @@ a1, a2 in T, which is what every structural operation here leans on.
 
 Everything is exact: field elements are small integer codes (little-endian
 base-p digit vectors), ring elements carry coefficient tuples mod p^2, and
-the generator tables are built once at construction.  Rings and fields are
+the generator tables are built once at construction.  Frobenius and the
+traces are Z_{p^2}-linear, so they are stored as integer matrices on the
+coefficient vectors, each checked at construction against the scalar orbit
+sum on a basis.  Rings and fields are
 logically immutable afterwards (the only internal state is value-transparent
 memo tables) and safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (
     IncompatibleTowerError,
@@ -143,6 +147,50 @@ def _order_of_x(modpoly, mod, n_max: int) -> int:
         while order % ell == 0 and _ppow_x(order // ell, modpoly, mod) == [1]:
             order //= ell
     return order
+
+
+# ---------------------------------------------------------------------------
+# Z_{p^2}-linear maps on coefficient vectors (matrices as tuples of rows)
+# ---------------------------------------------------------------------------
+
+def _matvec(rows, vec, mod: int) -> list[int]:
+    return [sum(map(operator.mul, row, vec)) % mod for row in rows]
+
+
+def _matmul(a, b, mod: int) -> tuple[tuple[int, ...], ...]:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % mod for col in cols) for row in a)
+
+
+def _power_map(ring: "GaloisRing", q0: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix of sigma_q0: it fixes Z_{p^2} and sends xi to xi^q0.
+
+    The basis is xi^0 .. xi^(r-1), so column j holds the coefficients of
+    xi^(j*q0 mod (q-1)).
+    """
+    cols = [ring.xi_powers[(j * q0) % (ring.q - 1)].coeffs for j in range(ring.r)]
+    return tuple(zip(*cols))
+
+
+def _orbit_matrix(sigma, steps: int, mod: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix of a -> a + sigma(a) + ... + sigma^(steps-1)(a)."""
+    size = len(sigma)
+    power = total = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    for _ in range(steps - 1):
+        power = _matmul(sigma, power, mod)
+        total = tuple(tuple((x + y) % mod for x, y in zip(t, pw)) for t, pw in zip(total, power))
+    return total
+
+
+def _check_columns(matrix, basis, scalar_map, what: str) -> None:
+    """Raise unless column j of the matrix is scalar_map(basis[j]) for every j.
+
+    Both sides are Z_{p^2}-linear, so agreement on a basis is agreement on
+    every element.
+    """
+    for j, b in enumerate(basis):
+        if tuple(row[j] for row in matrix) != tuple(scalar_map(b).coeffs):
+            raise InvalidTowerError(f"{what} matrix disagrees with the scalar {what} at xi^{j}")
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +547,17 @@ class GaloisRing:
             self._p_teich[(t * p).coeffs] = t
         self._teich_cache: dict[tuple[int, ...], tuple[GaloisRingElement, GaloisRingElement]] = {}
 
+        # sigma_p and the absolute trace as matrices, checked against the
+        # scalar Frobenius and orbit sum on the basis xi^j = x^j, j < r
+        basis = self.xi_powers[:r]
+        self.frobenius_matrix = _power_map(self, p)
+        _check_columns(self.frobenius_matrix, basis, lambda b: self.frobenius(b, p), "Frobenius")
+        trace_map = _orbit_matrix(self.frobenius_matrix, r, self.p2)
+        _check_columns(trace_map, basis, lambda b: self.orbit_sum(b, p, r), "trace")
+        if any(any(row) for row in trace_map[1:]):
+            raise InvalidTowerError("trace left the prime ring")
+        self.trace_vector: tuple[int, ...] = trace_map[0]
+
     # -- element constructors ---------------------------------------------
 
     def element(self, coeffs) -> GaloisRingElement:
@@ -603,11 +662,8 @@ class GaloisRing:
         return acc
 
     def trace_to_prime(self, a: GaloisRingElement) -> int:
-        """Trace down to Z_{p^2}, as an integer 0 <= t < p^2."""
-        acc = self.orbit_sum(a, self.p, self.r)
-        if any(acc.coeffs[1:]):
-            raise InvalidTowerError("trace left the prime ring")
-        return acc.coeffs[0]
+        """Trace down to Z_{p^2}, as an integer 0 <= t < p^2: one dot product."""
+        return sum(map(operator.mul, self.trace_vector, a.coeffs)) % self.p2
 
     def __repr__(self):
         return f"GR({self.p}^2,{self.r})"
@@ -701,6 +757,17 @@ class RingTower:
         self.field_ratio = ratio
         self._check_compatibility()
 
+        # sigma_q and the relative trace as matrices on the big coefficients;
+        # the trace is the projection of the sigma_q orbit sum
+        basis = big.xi_powers[:big.r]
+        self.frobenius_matrix = _power_map(big, q)
+        _check_columns(self.frobenius_matrix, basis, lambda b: big.frobenius(b, q), "Frobenius")
+        orbit = _orbit_matrix(self.frobenius_matrix, self.s, big.p2)
+        self.trace_matrix = _matmul(self._proj_inv, [orbit[i] for i in self._proj_rows], big.p2)
+        _check_columns(
+            self.trace_matrix, basis, lambda b: self.project(big.orbit_sum(b, q, self.s)), "trace"
+        )
+
     def _check_compatibility(self):
         # the embedding must commute with reduction mod p on all of the subring
         for code in range(self.small.q * self.small.q):
@@ -736,13 +803,13 @@ class RingTower:
         return candidate
 
     def trace(self, a: GaloisRingElement) -> GaloisRingElement:
-        """Relative trace R_big -> R_small: the sum of the sigma_q orbit."""
+        """Relative trace R_big -> R_small, the sum of the sigma_q orbit: one matrix product."""
         if a.ring is not self.big:
             raise InvalidTowerError("element does not belong to the extension ring")
-        return self.project(self.big.orbit_sum(a, self.small.q, self.s))
+        return GaloisRingElement(self.small, _matvec(self.trace_matrix, a.coeffs, self.big.p2))
 
     def fixed_by_frobenius(self, a: GaloisRingElement) -> bool:
-        return self.big.frobenius(a, self.small.q) == a
+        return _matvec(self.frobenius_matrix, a.coeffs, self.big.p2) == list(a.coeffs)
 
     # -- residue-field maps --------------------------------------------------
 

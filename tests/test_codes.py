@@ -563,3 +563,64 @@ def test_formulas_match_enumeration_on_random_codes(seed):
     for beta in ctx.big.elements():
         assert ctx.theorem31_row(beta) == _tally(ctx, beta), (ctx, beta)
         assert theorem44_hom_weight(ctx, beta) == hom[beta.code], (ctx, beta)
+
+
+# -- the symbol matrix, weight tallies and beta classes against scalar routes -----
+
+_FIXED_CODES = {
+    "p2-n12": ((2, 1, 2), dict(e=1, d=2, sprime=1)),
+    "p5-n30": ((5, 1, 2), dict(e=4, d=1)),
+    "p2-r3s2-n3": ((2, 3, 2), dict(e=21, d=0)),  # r = 3 symbol coordinates
+}
+# and the seeded codes of test_formulas_match_enumeration_on_random_codes
+_ORACLE_CODES = [*_FIXED_CODES, *(f"random-{seed}" for seed in range(6))]
+
+
+def _oracle_code(name: str):
+    if name in _FIXED_CODES:
+        args, kwargs = _FIXED_CODES[name]
+        return build_code(*args, **kwargs)
+    seed = int(name.split("-")[1])
+    return _random_code(random.Random(f"formula-oracle:{seed}"), (2, 3, 5)[seed % 3])
+
+
+@pytest.mark.parametrize("name", _ORACLE_CODES)
+def test_symbol_matrix_matches_encode_on_every_beta(name):
+    ctx = _oracle_code(name)
+    mat = ctx.symbol_matrix()
+    assert mat.shape == (ctx.Q * ctx.Q, ctx.n) and mat.dtype == np.int64
+    for beta in ctx.big.elements():
+        assert mat[beta.code].tolist() == [sym.code for sym in ctx.encode(beta)], (ctx, beta)
+
+
+@pytest.mark.parametrize("name", ["p2-n12", "random-1", "random-2", "p5-n30"])
+def test_complete_weights_match_a_per_row_tally(name):
+    ctx = _oracle_code(name)
+    mat = ctx.symbol_matrix()
+    complete: dict[tuple[int, ...], int] = {}
+    for row in mat:
+        key = tuple(int(c) for c in np.bincount(row, minlength=ctx.q * ctx.q))
+        complete[key] = complete.get(key, 0) + 1
+    table = ctx.hamming_distribution()
+    assert table.complete == complete
+    assert all(type(c) is int for key in table.complete for c in key)
+    assert table.size == len({tuple(row) for row in mat.tolist()})
+
+
+def test_distinct_rows_counts_each_row_once():
+    a = np.array([[3, 1], [0, 2], [3, 1], [0, 2], [3, 1], [2, 0]], dtype=np.int64)
+    rows, counts = codes.distinct_rows(a)
+    assert sorted(zip(map(tuple, rows.tolist()), counts.tolist())) == [
+        ((0, 2), 2), ((2, 0), 1), ((3, 1), 3)
+    ]
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((2, 3, 2), dict(e=1, d=3, sprime=1)),  # n = 504
+    ((3, 1, 3), dict(e=2, d=2, sprime=1)),  # n = 117
+])
+def test_beta_classes_match_beta_class(args, kwargs):
+    ctx = build_code(*args, **kwargs)
+    classes = ctx.beta_classes()
+    assert classes == [ctx.beta_class(beta) for beta in ctx.big.elements()]
+    assert {name: classes.count(name) for name in set(classes)} == ctx.predicted_class_counts()

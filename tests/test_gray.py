@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from grcodes.codes import build_code
 from grcodes.errors import PreconditionViolatedError
 from grcodes.gray import (
+    _gray_matrix,
     d_hom,
     first_order_rm_code,
     gray_image_analyze,
@@ -10,6 +12,7 @@ from grcodes.gray import (
     gray_map_vec,
     hom_weight,
     hom_weight_vec,
+    pair_distances,
     theorem44_hom_weight,
     theorem45_table,
 )
@@ -134,3 +137,42 @@ def test_gray_images_degree_two():
     assert sorted(tilde.distances) == [28, 32] and tilde.min_distance == 28
     report = theorem45_table(ctx)
     assert report.all_match
+
+
+def _pair_distances_oracle(gray) -> dict[int, int]:
+    """The pairwise distance multiset by one np.unique per row, over int64 rows."""
+    gray = gray.astype(np.int64)
+    distances: dict[int, int] = {}
+    for i in range(gray.shape[0] - 1):
+        diffs = (gray[i + 1:] != gray[i]).sum(axis=1)
+        for dist, count in zip(*np.unique(diffs, return_counts=True)):
+            distances[int(dist)] = distances.get(int(dist), 0) + int(count)
+    return distances
+
+
+@pytest.mark.parametrize("args, kwargs, which", [
+    ((2, 1, 2), dict(e=1, d=2, sprime=1), "C"),
+    ((2, 2, 2), dict(e=1, d=3, sprime=1), "Ctilde"),
+    ((3, 1, 3), dict(e=2, d=2, sprime=1), "Ctilde"),  # q = 3
+    ((5, 1, 2), dict(e=4, d=1), "C"),
+])
+def test_pair_distances_match_the_per_row_oracle(args, kwargs, which):
+    ctx = build_code(*args, **kwargs)
+    mat = ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
+    gray = _gray_matrix(ctx, mat)
+    assert gray.dtype == np.uint8
+    expected = _pair_distances_oracle(gray)
+    assert pair_distances(gray) == expected
+    assert sum(expected.values()) == len(gray) * (len(gray) - 1) // 2
+    report = gray_image_analyze(ctx, which)
+    assert report.distances == expected
+    assert report.size == len({tuple(row) for row in gray.tolist()})
+
+
+def test_one_flipped_gray_symbol_changes_the_distances():
+    ctx = build_code(3, 1, 3, e=2, d=2, sprime=1)
+    gray = _gray_matrix(ctx, ctx.tilde_symbol_matrix())
+    before = pair_distances(gray)
+    gray[5, 7] = (gray[5, 7] + 1) % ctx.q
+    after = pair_distances(gray)
+    assert after != before and after == _pair_distances_oracle(gray)

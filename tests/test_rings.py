@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from grcodes import rings
 from grcodes.errors import (
     IncompatibleTowerError,
     InvalidTowerError,
@@ -258,6 +260,98 @@ def test_project_inverts_embed(p, big_degree, small_degree):
     assert not tower.fixed_by_frobenius(outside)
     with pytest.raises(InvalidTowerError):
         tower.project(outside)
+
+
+# -- Frobenius and traces as matrices ---------------------------------------------
+
+def _apply(matrix, a) -> tuple[int, ...]:
+    """matrix @ a.coeffs mod p^2, written out independently of the library."""
+    p2 = a.ring.p2
+    return tuple(sum(row[j] * c for j, c in enumerate(a.coeffs)) % p2 for row in matrix)
+
+
+def _check_matrices_at(tower, a):
+    """Every stored matrix against the scalar orbit-sum route, at one element a."""
+    big, small = tower.big, tower.small
+    assert _apply(big.frobenius_matrix, a) == big.frobenius(a, big.p).coeffs
+    absolute = big.orbit_sum(a, big.p, big.r).coeffs
+    assert not any(absolute[1:]) and big.trace_to_prime(a) == absolute[0]
+    assert tower.trace(a) == tower.project(big.orbit_sum(a, small.q, tower.s))
+    assert tower.fixed_by_frobenius(a) == (big.frobenius(a, small.q) == a)
+
+
+@pytest.mark.parametrize("p, big_degree, small_degree", [(2, 4, 2), (3, 2, 1)])
+def test_matrices_match_orbit_sums_everywhere(p, big_degree, small_degree):
+    tower = RingTower(GaloisRing(p, big_degree), small_degree)
+    for a in tower.big.elements():
+        _check_matrices_at(tower, a)
+    small = tower.small
+    for a in small.elements():
+        absolute = small.orbit_sum(a, p, small.r).coeffs
+        assert small.trace_to_prime(a) == absolute[0] and not any(absolute[1:])
+        assert _apply(small.frobenius_matrix, a) == small.frobenius(a, p).coeffs
+
+
+def test_matrices_match_orbit_sums_on_gr25_4():
+    tower = RingTower(GaloisRing(5, 4), 2)
+    big = tower.big
+    for a in big.xi_powers:
+        _check_matrices_at(tower, a)
+    rng = random.Random("matrix-oracle")
+    for code in rng.sample(range(big.q * big.q), 2000):
+        _check_matrices_at(tower, big.from_code(code))
+
+
+def _corrupt_call(monkeypatch, name: str, nth: int, row: int = 0, col: int = 0):
+    """Make the nth call of a rings matrix builder return one entry off by one."""
+    original = getattr(rings, name)
+    calls = []
+
+    def corrupted(*args):
+        matrix = [list(r) for r in original(*args)]
+        calls.append(args)
+        if len(calls) == nth:
+            matrix[row][col] += 1
+        return tuple(map(tuple, matrix))
+
+    monkeypatch.setattr(rings, name, corrupted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["_power_map", "_orbit_matrix"])
+def test_corrupted_ring_matrix_is_refused(monkeypatch, name):
+    calls = _corrupt_call(monkeypatch, name, 1, col=1)
+    with pytest.raises(InvalidTowerError, match="disagrees with the scalar .* at xi\\^1$"):
+        GaloisRing(2, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["_power_map", "_orbit_matrix"])
+def test_corrupted_tower_matrix_is_refused(monkeypatch, name):
+    big = GaloisRing(2, 4)
+    # call 1 builds the subring's own matrix, call 2 the tower's
+    calls = _corrupt_call(monkeypatch, name, 2, col=3)
+    with pytest.raises(InvalidTowerError, match="disagrees with the scalar .* at xi\\^3$"):
+        RingTower(big, 2)
+    assert len(calls) == 2
+
+
+def test_trace_outside_the_prime_ring_is_refused(monkeypatch):
+    # shift the scalar orbit sum and its matrix alike, by 2*xi: they agree,
+    # but every basis trace now has a nonzero xi coefficient
+    scalar = GaloisRing.orbit_sum
+    monkeypatch.setattr(GaloisRing, "orbit_sum",
+                        lambda ring, a, q0, steps: scalar(ring, a, q0, steps) + ring.xi * 2)
+    original = rings._orbit_matrix
+
+    def shifted(sigma, steps, mod):
+        matrix = [list(r) for r in original(sigma, steps, mod)]
+        matrix[1] = [(x + 2) % mod for x in matrix[1]]
+        return tuple(map(tuple, matrix))
+
+    monkeypatch.setattr(rings, "_orbit_matrix", shifted)
+    with pytest.raises(InvalidTowerError, match="trace left the prime ring"):
+        GaloisRing(2, 2)
 
 
 def test_incompatible_tower():
