@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CyclotomicInteger, RootAccumulator
+from .cyclotomic import CyclotomicInteger
 from .errors import InvalidSubgroupError, NotAUnitError
 from .rings import FiniteField, GaloisRing, GaloisRingElement
 
@@ -31,12 +31,10 @@ def gauss_sum_field(field: FiniteField, i: int, m: int) -> CyclotomicInteger:
         raise ValueError(f"root order {m} does not hold zeta_{p} and zeta_{q - 1}")
     scale_t = m // (q - 1) if q > 2 else 0
     scale_p = m // p
-    acc = RootAccumulator(m)
+    counts = [0] * m
     for x in field.units():
-        e_mult = (i * field.log[x]) * scale_t
-        e_add = field.trace_to_prime(x) * scale_p
-        acc.add_root(e_mult + e_add)
-    return acc.value()
+        counts[(i * field.log[x] * scale_t + field.trace_to_prime(x) * scale_p) % m] += 1
+    return CyclotomicInteger(m, counts)
 
 
 class CharacterSystem:
@@ -58,7 +56,7 @@ class CharacterSystem:
         self._scale_p = self.m // p
         self._scale_t = self.m // (q - 1) if q > 2 else 0
         self._unit_data: list[GaloisRingElement] | None = None
-        self._unit_log_data: list[tuple[int, int]] | None = None
+        self._coord_data: list[tuple[int, int]] | None = None
         self._gq_cache: dict[int, CyclotomicInteger] = {}
         self._add_rows: dict[tuple[int, ...], list[int]] = {}
         self._mult_rows: dict[tuple, list[int]] = {}
@@ -89,14 +87,10 @@ class CharacterSystem:
         ring = self.ring
         if not x.is_unit:
             raise NotAUnitError(f"{x!r} is not a unit")
-        t, v = ring.unit_decompose(x)
-        e = 0
-        if ring.q > 2:
-            k = ring.teichmuller_log[t.coeffs]
-            e += (i * k % (ring.q - 1)) * self._scale_t
+        k, v_bar = ring.unit_log(x)
+        e = (i * k % (ring.q - 1)) * self._scale_t if ring.q > 2 else 0
         field = ring.residue_field
-        bv = field.mul(ring.reduce_mod_p(b), ring.reduce_mod_p(v))
-        e += field.trace_to_prime(bv) * self._scale_p
+        e += field.trace_to_prime(field.mul(ring.reduce_mod_p(b), v_bar)) * self._scale_p
         return e % self.m
 
     # -- character evaluation -------------------------------------------------
@@ -117,16 +111,13 @@ class CharacterSystem:
             self._unit_data = list(self.ring.units())
         return self._unit_data
 
-    def _unit_logs(self):
-        # per-unit (Teichmuller log k, residue of the 1+pv part) for x = xi^k(1+pv)
-        if self._unit_log_data is None:
-            ring = self.ring
-            data = []
-            for x in self._units():
-                t, v = ring.unit_decompose(x)
-                data.append((ring.teichmuller_log[t.coeffs], ring.reduce_mod_p(v)))
-            self._unit_log_data = data
-        return self._unit_log_data
+    def _unit_coords(self) -> list[tuple[int, int]]:
+        # (k, v_bar) of each unit, in code order (definition order), from the ring's table
+        if self._coord_data is None:
+            logs_k, logs_v = self.ring.log_table()
+            units = logs_v >= 0
+            self._coord_data = list(zip(logs_k[units].tolist(), logs_v[units].tolist()))
+        return self._coord_data
 
     def _additive_row(self, beta: GaloisRingElement) -> list[int]:
         # exponent of lambda_beta at each unit, in definition order
@@ -146,7 +137,7 @@ class CharacterSystem:
             b_bar = ring.reduce_mod_p(b)
             order = ring.q - 1
             row = []
-            for k, v_bar in self._unit_logs():
+            for k, v_bar in self._unit_coords():
                 e = (i * k % order) * self._scale_t if ring.q > 2 else 0
                 e += field.trace_to_prime(field.mul(b_bar, v_bar)) * self._scale_p
                 row.append(e % self.m)
@@ -157,10 +148,11 @@ class CharacterSystem:
         self, chi: tuple[int, GaloisRingElement], beta: GaloisRingElement
     ) -> CyclotomicInteger:
         """G(chi, lambda_beta) summed literally over all q(q-1) units."""
-        acc = RootAccumulator(self.m)
+        m = self.m
+        counts = [0] * m
         for em, ea in zip(self._mult_row(chi), self._additive_row(beta)):
-            acc.add_root(em + ea)
-        return acc.value()
+            counts[(em + ea) % m] += 1
+        return CyclotomicInteger(m, counts)
 
     # -- Gauss sums, closed-form route -----------------------------------------
 
@@ -217,8 +209,8 @@ class CharacterSystem:
         if beta.is_unit:
             twist = self.eval_mult_conj(chi, beta)
             return twist * self.gauss_sum_principal(chi)
-        # beta = p*y with y in T*: twist by conj(chi(y)) and reduce to lambda_p
-        _, y = ring.teichmuller_decompose(beta)
+        # beta = p*y with y = xi^k in T*: twist by conj(chi(y)) and reduce to lambda_p
+        y = ring.xi_powers[ring.log_table()[0][beta.code]]
         twist = self.eval_mult_conj(chi, y)
         return twist * self.gauss_sum_lambda_p(chi)
 

@@ -27,14 +27,12 @@ from .characters import (
     gauss_sum_field,
     ring_quotient_characters,
 )
-from .cyclotomic import CyclotomicInteger, _reduction_rows, exact_int
+from .cyclotomic import CyclotomicInteger, canonical_rows, exact_int, sum_dtype
 from .errors import (
     IncompatibleTowerError,
     InvalidSubgroupError,
     InvalidTowerError,
     NegativeCountError,
-    NonPrimitiveInputError,
-    NotAUnitError,
     PreconditionViolatedError,
 )
 from .rings import (
@@ -42,7 +40,6 @@ from .rings import (
     GaloisRing,
     GaloisRingElement,
     RingTower,
-    prime_factors,
     rref_mod,
 )
 
@@ -182,43 +179,8 @@ def check_generated_group(elements, generators) -> None:
 
 
 # ---------------------------------------------------------------------------
-# log coordinates and stored character tables
+# stored character tables
 # ---------------------------------------------------------------------------
-
-# The formula kernel sums int64 arrays only while max|R| * sum|W| stays below
-# this; it bounds every partial sum.  Larger tables run on Python ints.
-INT64_SUM_BOUND = 2**62
-
-
-def log_table(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray]:
-    """Log coordinates (k, v) of every element code of GR(p^2, r).
-
-    A unit is xi^k (1 + p T(v)) with v a residue code; a nonzero non-unit is
-    p xi^k, stored with v = -1; zero is (-1, -1).  The table is built forward
-    from the stored xi powers, xi^k (1 + p T(v)) = xi^k + p xi^(k + log v),
-    and must hit every code exactly once.
-    """
-    p, q, p2 = ring.p, ring.q, ring.p2
-    field = ring.residue_field
-    xi = np.array([x.coeffs for x in ring.xi_powers], dtype=np.int64)  # (q-1, r)
-    ks = np.arange(q - 1)
-    residue_logs = np.array([field.log[v] for v in range(1, q)], dtype=np.int64)
-    shifted = xi[(ks[:, None] + residue_logs[None, :]) % (q - 1)]  # xi^(k + log v)
-    place = p2 ** np.arange(ring.r, dtype=np.int64)
-    unit_codes = np.empty((q - 1, q), dtype=np.int64)
-    unit_codes[:, 0] = xi @ place
-    unit_codes[:, 1:] = ((xi[:, None, :] + p * shifted) % p2) @ place
-    ideal_codes = (p * xi % p2) @ place
-    k = np.full(q * q, -1, dtype=np.int64)
-    v = np.full(q * q, -1, dtype=np.int64)
-    k[unit_codes] = ks[:, None]
-    v[unit_codes] = np.arange(q)[None, :]
-    k[ideal_codes] = ks
-    hits = np.bincount(np.concatenate([[0], unit_codes.ravel(), ideal_codes]), minlength=q * q)
-    if (hits != 1).any():
-        raise NonPrimitiveInputError("log coordinates do not hit every ring element once")
-    return k, v
-
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an integer array and how often each occurs.
@@ -587,49 +549,21 @@ class CodeContext:
 
     # -- the twisted-sum kernel ------------------------------------------------
 
-    def log_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log coordinates (k, v) of every big-ring code; see ``log_table``."""
-        return self._cache("log_table", lambda: log_table(self.big))
-
-    def unit_log(self, beta: GaloisRingElement) -> tuple[int, int]:
-        """(k, v) with beta = xi^k (1 + p T(v)), read from the log table."""
-        k, v = self.log_table()
-        if v[beta.code] < 0:
-            raise NotAUnitError(f"{beta!r} lies in the maximal ideal")
-        return int(k[beta.code]), int(v[beta.code])
-
     def _embedded_logs(self) -> tuple[np.ndarray, np.ndarray]:
         """Big-ring (k, v) of each embedded small-ring code; (0, 0) at zero, v = 0 off the units."""
         def build():
-            k, v = self.log_table()
+            k, v = self.big.log_table()
             codes = [self.tower.embed(self.small.from_code(a)).code for a in range(self.q**2)]
             return np.maximum(k[codes], 0), np.maximum(v[codes], 0)
         return self._cache("embedded_logs", build)
 
-    def _reduction(self) -> tuple[np.ndarray, int, int]:
-        """The reduction modulo Phi_m, through Phi_m(x) = Phi_rad(x^step) with rad * step = m.
-
-        rad is the product of the primes dividing m.  Returns
-        ``_reduction_rows(rad)`` as a (rad, phi(m) / step) matrix, step, and
-        the largest |entry|, which is also that of ``_reduction_rows(m)``.
-        """
-        def build():
-            rad = math.prod(prime_factors(self.m))
-            rows = _reduction_rows(rad)
-            largest = max(abs(c) for row in rows for c in row)
-            return _int_array(rows), self.m // rad, largest
-        return self._cache("reduction", build)
-
     def _sum_dtype(self, *terms):
-        """int64 when max|R| * sum_k |c_k| * sum|W_k| < INT64_SUM_BOUND, else object.
+        """``cyclotomic.sum_dtype`` for a sum sum_k c_k G_k of (table, c_k) terms.
 
-        ``terms`` are (table, c_k) pairs of a sum sum_k c_k G_k; the product
-        bounds every entry of the summed group-algebra rows and every partial
-        sum of their reduction.
+        sum_k |c_k| * sum|W_k| bounds every entry of the summed group-algebra
+        rows, so it bounds their absolute sum as well.
         """
-        largest = self._reduction()[2]
-        bound = largest * sum(abs(c) * table.abs_sum for table, c in terms)
-        return np.int64 if bound < INT64_SUM_BOUND else object
+        return sum_dtype(self.m, sum(abs(c) * table.abs_sum for table, c in terms))
 
     def _group_sums(self, table: CharTable, dk, va, vb: int, dtype) -> np.ndarray:
         """Rows sum_chi zeta^(chi(x) - chi(y)) W_chi in group-algebra form, one per x.
@@ -649,19 +583,6 @@ class CodeContext:
         np.add.at(sums, slots.ravel(), terms.ravel().astype(dtype, copy=False))
         return sums.reshape(len(dk), m)
 
-    def _canonical(self, sums: np.ndarray) -> list[list[int]]:
-        """Canonical forms modulo Phi_m of group-algebra rows: one matrix product.
-
-        x^(step*u + w) = y^u x^w with y = x^step, so each residue w mod step
-        reduces y^u modulo Phi_rad(y), and the result is the canonical form
-        ordered by exponent.
-        """
-        reduction, step, _ = self._reduction()
-        rad, deg = reduction.shape
-        blocks = sums.reshape(len(sums), rad, step).transpose(0, 2, 1)
-        reduced = blocks @ reduction.astype(sums.dtype, copy=False)  # (rows, step, deg)
-        return reduced.transpose(0, 2, 1).reshape(len(sums), deg * step).tolist()
-
     def _rational(self, canonical: list[int]) -> int:
         """The integer a canonical form over Z[zeta_m] stands for."""
         if any(canonical[1:]):  # raises NotRationalError, worded as on the scalar route
@@ -673,7 +594,7 @@ class CodeContext:
         """sum_k c_k sum_chi zeta^(chi(x) - chi(y)) W_chi for each x, as integers."""
         dtype = self._sum_dtype(*terms)
         sums = sum(c * self._group_sums(table, dk, va, vb, dtype) for table, c in terms)
-        return [self._rational(row) for row in self._canonical(sums)]
+        return [self._rational(row) for row in canonical_rows(sums, self.m)]
 
     # -- encoding and direct counting ----------------------------------------
 
@@ -729,18 +650,8 @@ class CodeContext:
 
     def small_symbol_classes(self) -> np.ndarray:
         """Class of each small-ring code: 0 = zero, 1 = unit, 2 = p * Teichmuller."""
-        def build():
-            out = np.zeros(self.q * self.q, dtype=np.int64)
-            for code in range(self.q * self.q):
-                a = self.small.from_code(code)
-                if a.is_zero():
-                    out[code] = 0
-                elif a.is_unit:
-                    out[code] = 1
-                else:
-                    out[code] = 2
-            return out
-        return self._cache("symbol_classes", build)
+        k, v = self.small.log_table()
+        return np.where(v >= 0, 1, np.where(k >= 0, 2, 0))
 
     def _unit_class(self, v_bar: int) -> str:
         """S or not-S for a unit beta whose 1 + pT part has residue v_bar."""
@@ -756,7 +667,7 @@ class CodeContext:
             return BETA_ZERO
         if not beta.is_unit:
             return BETA_P_TEICH
-        return self._unit_class(self.unit_log(beta)[1])
+        return self._unit_class(self.big.unit_log(beta)[1])
 
     def beta_classes(self) -> list[str]:
         """``beta_class`` of every beta code, read from the log table.
@@ -764,7 +675,7 @@ class CodeContext:
         A unit's class depends only on its residue v_bar, so each of the Q
         residues is classified once.
         """
-        logs_k, logs_v = self.log_table()
+        logs_k, logs_v = self.big.log_table()
         unit_classes = [self._unit_class(v_bar) for v_bar in range(self.Q)]
         return [
             unit_classes[v] if v >= 0 else BETA_P_TEICH if k >= 0 else BETA_ZERO
@@ -794,7 +705,7 @@ class CodeContext:
         q2 = q * q
         if beta.is_zero():
             return [n] + [0] * (q2 - 1)
-        logs_k, logs_v = self.log_table()
+        logs_k, logs_v = self.big.log_table()
         bk, bv = int(logs_k[beta.code]), int(logs_v[beta.code])
         ak, av = self._embedded_logs()
         classes = self.small_symbol_classes()
@@ -809,7 +720,7 @@ class CodeContext:
                 self._group_sums(ep, at_one, None, 0, dtype),
                 self._group_sums(one_p, ak[pteich] - bk, None, 0, dtype),
             ])
-            totals = self._canonical(sums)
+            totals = canonical_rows(sums, self.m)
             row = [0] * q2
             den = q * (Q - 1)
             row[0] = self._count(n * (Q - 1 + (q - 1) * self._rational(totals[0])), den)
@@ -836,7 +747,7 @@ class CodeContext:
         den = q2 * Q * (Q - 1)
         return [
             self._count(n * (Q * (Q - 1) + self._rational(total)), den)
-            for total in self._canonical(sums)
+            for total in canonical_rows(sums, self.m)
         ]
 
     def theorem31_N(self, beta: GaloisRingElement, a: GaloisRingElement) -> int:
@@ -858,7 +769,7 @@ class CodeContext:
         residue_logs = [FQ.log[b] for b in FQ.units()]
         m1 = max(Fraction(c, Q - 1) for c in self._rational_sums([(table_ep, 1)], residue_logs))
         terms = [(self._table_I_zero(), q), (table_ep, Q)]
-        logs_k, logs_v = self.log_table()
+        logs_k, logs_v = self.big.log_table()
         m2 = None
         for code in np.flatnonzero(logs_v >= 0).tolist():  # the units, in code order
             (combined,) = self._rational_sums(terms, [-logs_k[code]], [0], int(logs_v[code]))

@@ -5,7 +5,10 @@ exponents of zeta_m = exp(2*pi*i/m).  That representation is closed under
 the ring operations and is cheap to accumulate character sums into.
 Equality and rationality are decided by reducing modulo the m-th
 cyclotomic polynomial; no floating point is involved anywhere on the
-verification path.
+verification path.  ``canonical_rows`` is the one reduction: it reduces
+whole arrays of group-algebra rows at once, through
+Phi_m(x) = Phi_rad(x^(m/rad)) with rad the product of the primes dividing m,
+and ``CyclotomicInteger.canonical`` is a one-row call of it.
 
 >>> z = CyclotomicInteger.zeta(4)
 >>> z * z == -1
@@ -17,10 +20,19 @@ True
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NotRationalError, OrderMismatchError
+from .rings import prime_factors
+
+# Rows are reduced in int64 only while max|R| * sum|coeffs| stays below this,
+# R the reduction table; the product bounds every partial sum of the
+# reduction.  Larger rows run on Python ints.
+INT64_SUM_BOUND = 2**62
 
 
 def exact_int(value: Fraction, what: str) -> int:
@@ -98,6 +110,42 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
                 nxt[i] -= lead * phi[i]
         cur = nxt
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple[np.ndarray, int, int]:
+    """The reduction modulo Phi_m, through Phi_m(x) = Phi_rad(x^step) with rad * step = m.
+
+    rad is the product of the primes dividing m.  Returns
+    ``_reduction_rows(rad)`` as an int64 (rad, phi(m) / step) matrix, step,
+    and the largest |entry|, which is also that of ``_reduction_rows(m)``.
+    """
+    rad = math.prod(prime_factors(m))
+    rows = _reduction_rows(rad)
+    return np.array(rows, dtype=np.int64), m // rad, max(abs(c) for row in rows for c in row)
+
+
+def sum_dtype(m: int, abs_sum: int):
+    """The dtype that reduces rows of absolute coefficient sum <= ``abs_sum`` exactly.
+
+    int64 while max|R| * abs_sum < INT64_SUM_BOUND, object (Python ints) otherwise.
+    """
+    return np.int64 if _reduction_table(m)[2] * abs_sum < INT64_SUM_BOUND else object
+
+
+def canonical_rows(sums: np.ndarray, m: int) -> list[list[int]]:
+    """Canonical forms modulo Phi_m of group-algebra rows: one matrix product.
+
+    ``sums`` is a (rows, m) array, int64 or object as ``sum_dtype`` chose.
+    x^(step*u + w) = y^u x^w with y = x^step, so each residue w mod step
+    reduces y^u modulo Phi_rad(y), and the result is the canonical form
+    ordered by exponent.
+    """
+    reduction, step, _ = _reduction_table(m)
+    rad, deg = reduction.shape
+    blocks = sums.reshape(len(sums), rad, step).transpose(0, 2, 1)
+    reduced = blocks @ reduction.astype(sums.dtype, copy=False)  # (rows, step, deg)
+    return reduced.transpose(0, 2, 1).reshape(len(sums), deg * step).tolist()
 
 
 class CyclotomicInteger:
@@ -218,15 +266,9 @@ class CyclotomicInteger:
 
     def canonical(self) -> tuple[int, ...]:
         """Coefficients of the unique representative of degree < deg(Phi_m)."""
-        rows = _reduction_rows(self.m)
-        deg = len(rows[0])
-        out = [0] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = rows[k]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return tuple(out)
+        dtype = sum_dtype(self.m, sum(map(abs, self.coeffs)))
+        (row,) = canonical_rows(np.array([self.coeffs], dtype=dtype), self.m)
+        return tuple(row)
 
     def canonical_reduce(self) -> "CyclotomicInteger":
         """Same value, rewritten with all exponents below deg(Phi_m); idempotent."""
@@ -288,23 +330,3 @@ class CyclotomicInteger:
                 terms.append(f"{c}*z^{k}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyc[{self.m}]({body})"
-
-
-class RootAccumulator:
-    """Mutable accumulator for sums of roots of unity of a fixed order.
-
-    Character sums add one root of unity per group element; accumulating
-    exponent counts in place avoids building an intermediate object per term.
-    """
-
-    __slots__ = ("m", "counts")
-
-    def __init__(self, m: int):
-        self.m = m
-        self.counts = [0] * m
-
-    def add_root(self, exponent: int, multiplicity: int = 1) -> None:
-        self.counts[exponent % self.m] += multiplicity
-
-    def value(self) -> CyclotomicInteger:
-        return CyclotomicInteger(self.m, self.counts)

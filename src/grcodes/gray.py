@@ -54,7 +54,7 @@ def theorem44_hom_weight(ctx: CodeContext, beta: GaloisRingElement) -> int:
     n, q, Q = ctx.n, ctx.q, ctx.Q
     if beta.is_zero():
         return 0
-    logs_k, logs_v = ctx.log_table()
+    logs_k, logs_v = ctx.big.log_table()
     twist = [-logs_k[beta.code]]  # chi(1) - chi(beta)
     if beta.is_unit:
         (total,) = ctx._rational_sums(

@@ -11,14 +11,17 @@ base-p digit vectors), ring elements carry coefficient tuples mod p^2, and
 the generator tables are built once at construction.  Frobenius and the
 traces are Z_{p^2}-linear, so they are stored as integer matrices on the
 coefficient vectors, each checked at construction against the scalar orbit
-sum on a basis.  Rings and fields are
-logically immutable afterwards (the only internal state is value-transparent
+sum on a basis.  The log coordinates xi^k (1 + p T(v)) of every element are
+one table, built on first use.  Rings and fields are logically immutable
+afterwards (the only internal state is that table and value-transparent
 memo tables) and safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+
+import numpy as np
 
 from .errors import (
     IncompatibleTowerError,
@@ -546,6 +549,7 @@ class GaloisRing:
         for t in self.teichmuller_set():
             self._p_teich[(t * p).coeffs] = t
         self._teich_cache: dict[tuple[int, ...], tuple[GaloisRingElement, GaloisRingElement]] = {}
+        self._log_table: tuple[np.ndarray, np.ndarray] | None = None
 
         # sigma_p and the absolute trace as matrices, checked against the
         # scalar Frobenius and orbit sum on the basis xi^j = x^j, j < r
@@ -627,6 +631,47 @@ class GaloisRing:
         w = a * self.inverse_teichmuller(t)
         v = self._p_teich[(w - self.one).coeffs]
         return t, v
+
+    def log_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log coordinates (k, v) of every element code, built on first use.
+
+        A unit is xi^k (1 + p T(v)) with v a residue code; a nonzero non-unit is
+        p xi^k, stored with v = -1; zero is (-1, -1).  The table is built forward
+        from the stored xi powers, xi^k (1 + p T(v)) = xi^k + p xi^(k + log v),
+        and must hit every code exactly once.
+        """
+        if self._log_table is None:
+            p, q, p2 = self.p, self.q, self.p2
+            xi = np.array([x.coeffs for x in self.xi_powers], dtype=np.int64)  # (q-1, r)
+            ks = np.arange(q - 1)
+            field_log = self.residue_field.log
+            residue_logs = np.array([field_log[v] for v in range(1, q)], dtype=np.int64)
+            shifted = xi[(ks[:, None] + residue_logs[None, :]) % (q - 1)]  # xi^(k + log v)
+            place = p2 ** np.arange(self.r, dtype=np.int64)
+            unit_codes = np.empty((q - 1, q), dtype=np.int64)
+            unit_codes[:, 0] = xi @ place
+            unit_codes[:, 1:] = ((xi[:, None, :] + p * shifted) % p2) @ place
+            ideal_codes = (p * xi % p2) @ place
+            k = np.full(q * q, -1, dtype=np.int64)
+            v = np.full(q * q, -1, dtype=np.int64)
+            k[unit_codes] = ks[:, None]
+            v[unit_codes] = np.arange(q)[None, :]
+            k[ideal_codes] = ks
+            hits = np.bincount(
+                np.concatenate([[0], unit_codes.ravel(), ideal_codes]), minlength=q * q
+            )
+            if (hits != 1).any():
+                raise NonPrimitiveInputError("log coordinates do not hit every ring element once")
+            self._log_table = (k, v)
+        return self._log_table
+
+    def unit_log(self, a: GaloisRingElement) -> tuple[int, int]:
+        """(k, v) with a = xi^k (1 + p T(v)), read from the log table."""
+        k, v = self.log_table()
+        code = a.code
+        if v[code] < 0:
+            raise NotAUnitError(f"{a!r} lies in the maximal ideal")
+        return int(k[code]), int(v[code])
 
     def inverse_teichmuller(self, t: GaloisRingElement) -> GaloisRingElement:
         k = self.teichmuller_log[t.coeffs]

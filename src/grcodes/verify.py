@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .characters import CharacterSystem
 from .codes import CodeContext
 from .cyclotomic import exact_int
@@ -108,19 +110,16 @@ def suite_gauss_equivalence(ring: GaloisRing, full: bool = False) -> Verificatio
     total_pairs = 0
     total_bad = 0
     for chi in system.all_mult_chars():
-        mismatches = []
-        for beta in betas:
-            lhs = system.gauss_sum_closed_form(chi, beta)
-            rhs = system.gauss_sum_definition(chi, beta)
-            if lhs != rhs:
-                mismatches.append((beta, lhs, rhs))
+        pairs = [
+            (beta, system.gauss_sum_closed_form(chi, beta), system.gauss_sum_definition(chi, beta))
+            for beta in betas
+        ]
+        mismatches = [(beta, lhs, rhs) for beta, lhs, rhs in pairs if lhs != rhs]
         total_pairs += len(betas)
         total_bad += len(mismatches)
         if full:
             i, b = chi
-            for beta in betas:
-                lhs = system.gauss_sum_closed_form(chi, beta)
-                rhs = system.gauss_sum_definition(chi, beta)
+            for beta, lhs, rhs in pairs:
                 report.add(
                     f"pair-i{i}-b{format_element(b)}-beta{format_element(beta)}",
                     "2.1-closed-vs-definition",
@@ -166,11 +165,11 @@ def suite_component_counts(ctx: CodeContext, full: bool = False) -> Verification
     report = VerificationReport("3.1", _ctx_params(ctx))
     q2 = ctx.q * ctx.q
     beta_codes = range(ctx.Q * ctx.Q)
+    symbols = ctx.symbol_matrix()
     for code in beta_codes:
         beta = ctx.big.from_code(code)
-        counted = ctx.count_components(beta)
         pred = [ctx.theorem31_N(beta, ctx.small.from_code(a)) for a in range(q2)]
-        obs = [counted[a] for a in range(q2)]
+        obs = np.bincount(symbols[code], minlength=q2).tolist()
         if full or pred != obs:
             report.add(
                 f"beta-{format_element(beta)}", "3.1-formula-vs-enumeration", pred, obs

@@ -8,7 +8,8 @@ from grcodes.characters import (
 )
 from grcodes.cyclotomic import CyclotomicInteger
 from grcodes.errors import InvalidSubgroupError, NotAUnitError
-from grcodes.rings import FiniteField, GaloisRing
+from grcodes.rings import FiniteField, GaloisRing, format_element
+from grcodes.verify import VerificationReport, suite_gauss_equivalence
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,49 @@ def test_ring_quotient_characters(R42):
     # wrong subgroup size is rejected
     with pytest.raises(InvalidSubgroupError):
         ring_quotient_characters(cs, gens, 6)
+
+
+@pytest.mark.parametrize("p, r", [(2, 3), (3, 2), (5, 1)])
+def test_mult_exponent_matches_unit_decompose(p, r):
+    ring = GaloisRing(p, r)
+    cs = CharacterSystem(ring)
+    field, q = ring.residue_field, ring.q
+    units = [x for x in ring.elements() if x.is_unit]
+    logs = [(ring.teichmuller_log[t.coeffs], ring.reduce_mod_p(v))
+            for t, v in map(ring.unit_decompose, units)]
+    for chi in cs.all_mult_chars():
+        i, b = chi
+        b_bar = ring.reduce_mod_p(b)
+        expected = [
+            ((i * k % (q - 1)) * (cs.m // (q - 1))
+             + field.trace_to_prime(field.mul(b_bar, v_bar)) * (cs.m // p)) % cs.m
+            for k, v_bar in logs
+        ]
+        assert [cs.mult_exponent(chi, x) for x in units] == expected
+        assert cs._mult_row(chi) == expected
+    for x in ring.elements():
+        if not x.is_unit:
+            with pytest.raises(NotAUnitError, match="is not a unit"):
+                cs.mult_exponent((1, ring.one), x)
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 1)])
+def test_suite_21_full_records_each_pair_once(p, r):
+    ring = GaloisRing(p, r)
+    report = suite_gauss_equivalence(ring, full=True)
+    q = ring.q
+    assert len(report.records) == q * (q - 1) * q * q
+    system = CharacterSystem(ring)
+    expected = VerificationReport("2.1", {"p": p, "r": r, "modulus": list(ring.modulus)})
+    for i, b in system.all_mult_chars():
+        for beta in ring.elements():
+            closed = system.gauss_sum_closed_form((i, b), beta)
+            definition = system.gauss_sum_definition((i, b), beta)
+            expected.add(
+                f"pair-i{i}-b{format_element(b)}-beta{format_element(beta)}",
+                "2.1-closed-vs-definition",
+                repr(closed.canonical_reduce()),
+                repr(definition.canonical_reduce()),
+            )
+    assert report.to_json() == expected.to_json()
+    assert report.all_ok

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grcodes import codes
-from grcodes.cyclotomic import CyclotomicInteger
+from grcodes import codes, cyclotomic
+from grcodes.cyclotomic import CyclotomicInteger, _reduction_rows, canonical_rows
 from grcodes.codes import (
     BETA_P_TEICH,
     BETA_UNIT_NO_S,
@@ -18,19 +18,23 @@ from grcodes.codes import (
     check_generated_group,
     dual_subspace,
     echelon_basis,
-    log_table,
     span_subspace,
 )
 from grcodes.errors import (
     InvalidSubgroupError,
     NegativeCountError,
-    NonPrimitiveInputError,
-    NotAUnitError,
     NotRationalError,
     PreconditionViolatedError,
 )
 from grcodes.gray import theorem44_hom_weight
-from grcodes.rings import FiniteField, GaloisRing, hensel_lift_basic_primitive, is_primitive_poly
+from grcodes.rings import (
+    FiniteField,
+    GaloisRing,
+    format_element,
+    hensel_lift_basic_primitive,
+    is_primitive_poly,
+)
+from grcodes.verify import suite_component_counts
 
 
 @pytest.fixture(scope="module")
@@ -416,37 +420,6 @@ def test_table1_degree_two():
 
 # -- log coordinates and the array formula kernel -------------------------------------
 
-@pytest.mark.parametrize("p, rs", [(2, 4), (3, 2), (5, 2)])
-def test_log_table_matches_unit_decompose(p, rs):
-    ctx = build_code(p, 1, rs, e=p**rs - 1, d=0)  # n = 1; only the ring matters here
-    big = ctx.big
-    k, v = log_table(big)
-    assert np.array_equal(k, ctx.log_table()[0]) and np.array_equal(v, ctx.log_table()[1])
-    for x in big.elements():
-        if x.is_unit:
-            t, w = big.unit_decompose(x)
-            expected = (big.teichmuller_log[t.coeffs], big.reduce_mod_p(w))
-            assert (k[x.code], v[x.code]) == expected
-            assert ctx.unit_log(x) == expected
-            continue
-        with pytest.raises(NotAUnitError):
-            big.unit_decompose(x)
-        with pytest.raises(NotAUnitError):
-            ctx.unit_log(x)
-        assert v[x.code] == -1
-        if x.is_zero():
-            assert k[x.code] == -1
-        else:  # x = p * xi^k
-            assert big.xi_powers[k[x.code]] * p == x
-
-
-def test_log_table_rejects_a_bad_xi_table():
-    ring = GaloisRing(2, 3)
-    ring.xi_powers = ring.xi_powers[:1] * len(ring.xi_powers)  # every power set to 1
-    with pytest.raises(NonPrimitiveInputError, match="hit every ring element once"):
-        log_table(ring)
-
-
 def _tally(ctx, beta) -> list[int]:
     counts = ctx.count_components(beta)
     return [counts[a] for a in range(ctx.q * ctx.q)]
@@ -506,24 +479,67 @@ def test_formula_kernel_object_path_gives_identical_values(monkeypatch):
 
     fast = build_code(3, 1, 2, e=2, d=1)
     expected = results(fast)
+    values = [fast.system.gauss_sum_closed_form(chi, fast.big.one) for chi in fast.chars_mod_G()]
+    forms = [value.canonical() for value in values]
     assert fast._table_I_pteich().coeffs.dtype == np.int64
-    monkeypatch.setattr(codes, "INT64_SUM_BOUND", 0)  # every sum now runs on Python ints
+    reduce, dtypes = cyclotomic.canonical_rows, []
+
+    def recording(sums, m):
+        dtypes.append(sums.dtype)
+        return reduce(sums, m)
+
+    monkeypatch.setattr(cyclotomic, "INT64_SUM_BOUND", 0)  # every sum now runs on Python ints
+    monkeypatch.setattr(cyclotomic, "canonical_rows", recording)
+    monkeypatch.setattr(codes, "canonical_rows", recording)
     exact = build_code(3, 1, 2, e=2, d=1)
     assert exact._sum_dtype((exact._table_I_pteich(), 1)) is object
     assert results(exact) == expected
+    assert [value.canonical() for value in values] == forms
+    assert dtypes and all(dtype == object for dtype in dtypes)
     # storage falls back to Python ints only for entries that do not fit in int64
     assert codes._int_array([[1, -(2**63)]]).dtype == np.int64
     assert codes._int_array([[1, 2**63]]).dtype == object
 
 
+def _scalar_canonical(coeffs, m: int) -> list[int]:
+    """The canonical form modulo Phi_m by a loop over the full m x phi(m) table."""
+    rows = _reduction_rows(m)
+    out = [0] * len(rows[0])
+    for k, c in enumerate(coeffs):
+        if c:
+            for i, entry in enumerate(rows[k]):
+                out[i] += c * entry
+    return out
+
+
+def _check_canonical_forms(rows, m: int) -> None:
+    expected = [_scalar_canonical(row, m) for row in rows]
+    assert canonical_rows(np.array(rows, dtype=object), m) == expected
+    if all(abs(c) < 2**63 for row in rows for c in row):
+        assert canonical_rows(np.array(rows, dtype=np.int64), m) == expected
+    assert [list(CyclotomicInteger(m, row).canonical()) for row in rows] == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 12, 28, 60, 72, 600, 2352])
+def test_canonical_rows_match_the_scalar_oracle(m):
+    rng = random.Random(m)
+    _check_canonical_forms([[rng.randrange(-50, 50) for _ in range(m)] for _ in range(2)], m)
+    _check_canonical_forms([[2**63 + rng.randrange(-50, 50) for _ in range(m)]], m)
+    # absolute coefficient sums just below and exactly at the int64 bound
+    largest = cyclotomic._reduction_table(m)[2]
+    at_bound = -(-cyclotomic.INT64_SUM_BOUND // largest)
+    assert largest * at_bound == cyclotomic.INT64_SUM_BOUND
+    assert cyclotomic.sum_dtype(m, at_bound - 1) is np.int64
+    assert cyclotomic.sum_dtype(m, at_bound) is object
+    for total in (at_bound - 1, at_bound):
+        row = [1] * m
+        row[-1] = -(total - (m - 1))
+        _check_canonical_forms([row], m)
+
+
 @pytest.mark.parametrize("args, kwargs", [((2, 2, 2), dict(e=3, d=1)), ((5, 1, 2), dict(e=4, d=1))])
 def test_canonical_rows_match_cyclotomic_canonical(args, kwargs):
-    ctx = build_code(*args, **kwargs)  # m = 60 and m = 600: step 2 and step 20
-    rng = random.Random(ctx.m)
-    rows = [[rng.randrange(-50, 50) for _ in range(ctx.m)] for _ in range(4)]
-    expected = [list(CyclotomicInteger(ctx.m, row).canonical()) for row in rows]
-    assert ctx._canonical(np.array(rows, dtype=np.int64)) == expected
-    assert ctx._canonical(np.array(rows, dtype=object)) == expected
+    assert build_code(*args, **kwargs).m in (60, 600)  # both are in the list above
 
 
 # -- seeded random instances, p in {2, 3, 5} ------------------------------------------
@@ -624,3 +640,24 @@ def test_beta_classes_match_beta_class(args, kwargs):
     classes = ctx.beta_classes()
     assert classes == [ctx.beta_class(beta) for beta in ctx.big.elements()]
     assert {name: classes.count(name) for name in set(classes)} == ctx.predicted_class_counts()
+
+
+@pytest.mark.parametrize("name", ["p2-n12", "p2-r3s2-n3", "random-1", "p5-n30"])
+def test_small_symbol_classes_match_a_scalar_loop(name):
+    ctx = _oracle_code(name)
+    expected = []
+    for a in ctx.small.elements():
+        expected.append(0 if a.is_zero() else 1 if a.is_unit else 2)
+    assert ctx.small_symbol_classes().tolist() == expected
+
+
+@pytest.mark.parametrize("name", ["p2-n12", "random-1", "p5-n30"])  # p = 2, 3, 5
+def test_suite_31_full_tallies_match_count_components(name):
+    ctx = _oracle_code(name)
+    report = suite_component_counts(ctx, full=True)
+    vectors = [record for record in report.records if record.check_id.startswith("beta-")]
+    assert len(vectors) == ctx.Q * ctx.Q
+    for beta, record in zip(ctx.big.elements(), vectors):
+        assert record.check_id == f"beta-{format_element(beta)}"
+        assert record.observed == str(_tally(ctx, beta))
+    assert report.all_ok

@@ -28,6 +28,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 200):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected), m
+
+
 def test_basic_identities():
     z4 = CyclotomicInteger.zeta(4)
     assert z4 * z4 == -1

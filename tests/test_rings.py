@@ -185,6 +185,38 @@ def test_reduce_mod_p(Z4, R42):
     assert R42.reduce_mod_p(R42.xi * 2) == 0
 
 
+# -- log coordinates ------------------------------------------------------------
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 2), (5, 2)])
+def test_log_table_matches_unit_decompose(p, r):
+    ring = GaloisRing(p, r)
+    k, v = ring.log_table()
+    assert ring.log_table()[0] is k  # built once
+    for x in ring.elements():
+        if x.is_unit:
+            t, w = ring.unit_decompose(x)
+            expected = (ring.teichmuller_log[t.coeffs], ring.reduce_mod_p(w))
+            assert (k[x.code], v[x.code]) == expected
+            assert ring.unit_log(x) == expected
+            continue
+        with pytest.raises(NotAUnitError):
+            ring.unit_decompose(x)
+        with pytest.raises(NotAUnitError):
+            ring.unit_log(x)
+        assert v[x.code] == -1
+        if x.is_zero():
+            assert k[x.code] == -1
+        else:  # x = p * xi^k
+            assert ring.xi_powers[k[x.code]] * p == x
+
+
+def test_log_table_rejects_a_bad_xi_table():
+    ring = GaloisRing(2, 3)
+    ring.xi_powers = ring.xi_powers[:1] * len(ring.xi_powers)  # every power set to 1
+    with pytest.raises(NonPrimitiveInputError, match="hit every ring element once"):
+        ring.log_table()
+
+
 # -- towers ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
