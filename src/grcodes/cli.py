@@ -233,8 +233,8 @@ def cmd_gauss(cfg: RunConfig) -> int:
             "chi_b": format_element(chi[1]),
             "beta": format_element(beta),
             "equal": closed == definition,
-            "closed": repr(closed.canonical_reduce()),
-            "definition": repr(definition.canonical_reduce()),
+            "closed": repr(closed),
+            "definition": repr(definition),
             "magnitude_approx": f"{abs(definition.approx()):.6f}",
         }
         if cfg.dump_sums or cfg.format == "json":

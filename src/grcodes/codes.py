@@ -24,7 +24,6 @@ import numpy as np
 from .characters import (
     CharacterSystem,
     field_quotient_characters,
-    gauss_sum_field,
     ring_quotient_characters,
 )
 from .cyclotomic import CyclotomicInteger, canonical_rows, exact_int, sum_dtype
@@ -378,12 +377,12 @@ class CodeContext:
 
     @property
     def m(self) -> int:
-        return math.lcm(self.p * self.p, self.Q - 1 if self.Q > 2 else 1)
+        return self.system.m
 
     @property
     def system(self) -> CharacterSystem:
         if self._system is None:
-            self._system = CharacterSystem(self.big, self.m)
+            self._system = CharacterSystem(self.big)
         return self._system
 
     @property
@@ -442,12 +441,6 @@ class CodeContext:
 
     def field_chars_mod_eprime(self) -> list[int]:
         return field_quotient_characters(self.Q, self.e_prime)
-
-    def _field_gauss(self, j: int) -> CyclotomicInteger:
-        table = self._cache("gq_big", dict)
-        if j not in table:
-            table[j] = gauss_sum_field(self.big.residue_field, j, self.m)
-        return table[j]
 
     def _restrict_char(self, chi):
         """Restriction of a big-ring character to the embedded subring."""
@@ -520,28 +513,18 @@ class CodeContext:
             return self._ring_char_table(chars, weights)
         return self._cache("table_I_zero", build)
 
-    def _table_II_unit(self) -> CharTable:
-        def build():
-            js = self.field_chars_mod_D()
-            weights = [
-                self.Q * (self._field_gauss(j) * self.small_system.gauss_sum_field_induced(j)
-                          .conjugate())
-                for j in js
-            ]
-            return self._char_table(js, [w.coeffs for w in weights])
-        return self._cache("table_II_unit", build)
-
     def _table_field_eprime(self) -> CharTable:
         def build():
             js = self.field_chars_mod_eprime()
-            return self._char_table(js, [self._field_gauss(j).coeffs for j in js])
+            return self._char_table(js, [self.system.gauss_sum_field_induced(j).coeffs for j in js])
         return self._cache("table_field_eprime", build)
 
     def _table_1_pteich(self) -> CharTable:
         def build():
             js = self.field_chars_mod_D()
             weights = [
-                self.small_system.gauss_sum_field_induced(j).conjugate() * self._field_gauss(j)
+                self.small_system.gauss_sum_field_induced(j).conjugate()
+                * self.system.gauss_sum_field_induced(j)
                 for j in js
             ]
             return self._char_table(js, [w.coeffs for w in weights])
@@ -728,17 +711,17 @@ class CodeContext:
                 row[a] = self._count(n * (Q - 1 + self._rational(total)), den)
             return row
 
-        I_unit, II_unit = self._table_I_unit(), self._table_II_unit()
+        I_unit, one_p = self._table_I_unit(), self._table_1_pteich()
         I_zero, I_pteich = self._table_I_zero(), self._table_I_pteich()
         c_ep = Q * (q - 1)
         # one bound over all the tables covers each class's sum
         dtype = self._sum_dtype(
-            (I_unit, 1), (II_unit, 1), (I_zero, q * (q - 1)), (I_pteich, 1), (ep, c_ep)
+            (I_unit, 1), (one_p, Q), (I_zero, q * (q - 1)), (I_pteich, 1), (ep, c_ep)
         )
         sums = np.empty((q2, self.m), dtype=dtype)
         du = ak[units] - bk
         sums[units] = (self._group_sums(I_unit, du, av[units], bv, dtype)
-                       + self._group_sums(II_unit, du, None, bv, dtype))
+                       + Q * self._group_sums(one_p, du, None, bv, dtype))
         part_ep = c_ep * self._group_sums(ep, at_one, None, bv, dtype)
         sums[0] = q * (q - 1) * self._group_sums(I_zero, at_one, [0], bv, dtype)[0] + part_ep[0]
         sums[pteich] = self._group_sums(

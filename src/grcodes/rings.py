@@ -83,32 +83,16 @@ def _pmul(a, b, mod):
     return _ptrim(out)
 
 
-def _psub(a, b, mod):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % mod
-    return _ptrim(out)
-
-
-def _pdivmod(num, den, mod):
-    """Polynomial division; the divisor's leading coefficient must be a unit."""
-    den = _ptrim(list(den))
-    num = list(num)
-    lead_inv = pow(den[-1], -1, mod)
-    quo = [0] * max(len(num) - len(den) + 1, 0)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = (num[shift + len(den) - 1] * lead_inv) % mod
-        if c:
-            quo[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] = (num[shift + i] - c * d) % mod
-    return _ptrim(quo), _ptrim(num)
-
-
 def _pmod(num, den, mod):
-    return _pdivmod(num, den, mod)[1]
+    """Remainder of num modulo den, whose leading coefficient is 1 mod mod."""
+    num = list(num)
+    deg = len(den) - 1
+    for top in range(len(num) - 1, deg - 1, -1):
+        c = num[top] % mod
+        if c:
+            for i, d in enumerate(den, top - deg):
+                num[i] = (num[i] - c * d) % mod
+    return _ptrim(num)
 
 
 def _ppow_x(exponent, modpoly, mod):
@@ -122,23 +106,6 @@ def _ppow_x(exponent, modpoly, mod):
         base = _pmod(_pmul(base, base, mod), modpoly, mod)
         e >>= 1
     return result
-
-
-def _pgcdext(a, b, p):
-    """Extended Euclid over F_p: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
-    if not r0:
-        return [], u0, v0
-    inv = pow(r0[-1], -1, p)
-    scale = lambda poly: [(c * inv) % p for c in poly]
-    return scale(r0), scale(u0), scale(v0)
 
 
 def _order_of_x(modpoly, mod, n_max: int) -> int:
@@ -232,37 +199,23 @@ def is_primitive_poly(g, p: int) -> bool:
 def hensel_lift_basic_primitive(g, p: int) -> tuple[int, ...]:
     """Lift a primitive g over F_p to the basic primitive h over Z_{p^2}.
 
-    One Newton step on the coprime factorization x^(p^n - 1) - 1 = g*k over
-    F_p produces the unique monic h = g (mod p) dividing x^(p^n - 1) - 1
-    over Z_{p^2}; equivalently ord(x mod h) = p^n - 1.
+    In Z_{p^2}[x]/(g), t = x^(p^n) is the Teichmuller lift of x: t = x (mod p)
+    and t^(p^n - 1) = 1.  Its minimal polynomial is the unique monic h = g
+    (mod p) dividing x^(p^n - 1) - 1 over Z_{p^2}; equivalently
+    ord(x mod h) = p^n - 1.  Since t^k = x^k (mod p), t^0 .. t^(n-1) are
+    independent and h is the monic relation among t^0 .. t^n.
     """
     g = [c % p for c in _ptrim(list(g))]
     if not is_primitive_poly(g, p):
         raise NonPrimitiveInputError(f"{g} is not primitive over F_{p}")
     n = len(g) - 1
-    target = p**n - 1
-    p2 = p * p
-
-    f = [0] * (target + 1)
-    f[0], f[target] = -1 % p2, 1
-    k, rem = _pdivmod([c % p for c in f], g, p)
-    if rem:
-        raise NonPrimitiveInputError(f"{g} does not divide x^{target} - 1 over F_{p}")
-    # f - g*k is divisible by p; t is the cofactor of the defect
-    defect = _psub(f, _pmul(g, k, p2), p2)
-    t = [(c // p) % p for c in defect]
-    one, a, b = _pgcdext(g, k, p)
-    if one != [1]:
-        raise NonPrimitiveInputError("g and k must be coprime mod p")
-    u = _pmod(_pmul(b, t, p), g, p)
-
-    h = [c % p2 for c in g]
-    for i, c in enumerate(u):
-        h[i] = (h[i] + p * c) % p2
-    order = _order_of_x(h, p2, target)
-    if order != target:
-        raise NonPrimitiveInputError(f"lift failed: ord(x) = {order}, expected {target}")
-    return tuple(h)
+    q, p2 = p**n, p * p
+    powers = [_ppow_x(q * k, g, p2) for k in range(n + 1)]
+    h = _monic_relation(powers, p2, p, NonPrimitiveInputError)
+    order = _order_of_x(list(h), p2, q - 1)
+    if order != q - 1:
+        raise NonPrimitiveInputError(f"lift failed: ord(x) = {order}, expected {q - 1}")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +299,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         da, db = self.coeffs(a), self.coeffs(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def sub(self, a: int, b: int) -> int:
-        da, db = self.coeffs(a), self.coeffs(b)
-        return self._encode([(x - y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        return self._encode([(-x) % self.p for x in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -742,6 +688,20 @@ def rref_mod(rows, mod: int, p: int) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
+def _monic_relation(powers, mod: int, p: int, error) -> tuple[int, ...]:
+    """The monic f = (f_0, .., f_(d-1), 1) with sum_k f_k y^k = 0 over Z_mod.
+
+    powers holds the coefficient vectors of y^0 .. y^d.  [y^0 .. y^(d-1) | y^d]
+    is reduced with ``rref_mod``; raises ``error`` unless y^0 .. y^(d-1) are
+    independent mod p and y^d lies in their span, which makes f unique.
+    """
+    d = len(powers) - 1
+    rows, pivots = rref_mod(list(itertools.zip_longest(*powers, fillvalue=0)), mod, p)
+    if pivots != list(range(d)) or any(row[d] for row in rows[d:]):
+        raise error(f"y^{d} satisfies no unique monic relation of degree {d} over Z_{mod}")
+    return tuple(-row[d] % mod for row in rows[:d]) + (1,)
+
+
 # ---------------------------------------------------------------------------
 # the tower GR(p^2, r) inside GR(p^2, r*s)
 # ---------------------------------------------------------------------------
@@ -750,8 +710,9 @@ class RingTower:
     """The pair R = GR(p^2, r) inside R_big = GR(p^2, r*s), with its maps.
 
     The subring is generated by u = xi_big^((Q-1)/(q-1)); its modulus is the
-    minimal polynomial of u over Z_{p^2}, so the embedding is exactly
-    xi_small -> u and commutes with reduction mod p by construction.
+    monic relation among u^0 .. u^r over Z_{p^2}, the minimal polynomial of u,
+    so the embedding is exactly xi_small -> u and commutes with reduction mod p
+    by construction.
     """
 
     def __init__(self, big: GaloisRing, small_degree: int):
@@ -765,39 +726,21 @@ class RingTower:
         q = p**small_degree
         Q = big.q
         ratio = (Q - 1) // (q - 1)
-        u = big.xi_powers[ratio % (Q - 1)] if Q > 2 else big.one
+        powers = [big.xi_powers[(ratio * k) % (Q - 1)].coeffs for k in range(small_degree + 1)]
+        self.small = GaloisRing(
+            p, small_degree, _monic_relation(powers, big.p2, p, IncompatibleTowerError)
+        )
+        self.u = big.xi_powers[ratio % (Q - 1)]
 
-        # minimal polynomial of u: product of (x - u^(p^i)) over the orbit
-        poly = [big.one]
-        root = u
-        for _ in range(small_degree):
-            shifted = [big.zero] + poly
-            scaled = [(-root) * c for c in poly] + [big.zero]
-            poly = [a + b for a, b in zip(shifted, scaled)]
-            root = big._teich_power(root, p)
-        if any(any(coeff.coeffs[1:]) for coeff in poly):
-            raise IncompatibleTowerError("minimal polynomial left Z_{p^2}")
-        modulus = [coeff.coeffs[0] for coeff in poly]
-        self.small = GaloisRing(p, small_degree, modulus)
-        self.u = u
-
-        # embedding matrix: column j holds the big-ring coefficients of u^j
-        self.embed_cols = []
-        cur = big.one
-        for _ in range(small_degree):
-            self.embed_cols.append(cur.coeffs)
-            cur = cur * u
-        # rows making the embedding invertible on its image (a unit minor mod p):
-        # the pivot columns of its transpose, which is embed_cols itself
-        _, rows = rref_mod(self.embed_cols, p, p)
-        if len(rows) < small_degree:
-            raise IncompatibleTowerError("embedding matrix is rank deficient")
-        self._proj_rows = rows
-        # invert the minor by reducing [minor | I] mod p^2
-        augmented = [[self.embed_cols[j][i] for j in range(small_degree)]
-                     + [int(a == b) for b in range(small_degree)] for a, i in enumerate(rows)]
+        # embedding matrix E: column j holds the big-ring coefficients of u^j.
+        # Its columns are independent mod p (checked by _monic_relation), so
+        # reducing [E | I] mod p^2 puts I_r over the first r rows, and their
+        # right part is a left inverse P E = I: the projection onto the subring
+        self.embed_matrix = tuple(zip(*powers[:small_degree]))
+        augmented = [list(row) + [int(i == j) for j in range(big.r)]
+                     for i, row in enumerate(self.embed_matrix)]
         reduced, _ = rref_mod(augmented, big.p2, p)
-        self._proj_inv = [row[small_degree:] for row in reduced]
+        self.project_matrix = tuple(tuple(row[small_degree:]) for row in reduced[:small_degree])
 
         self.field_ratio = ratio
         self._check_compatibility()
@@ -808,7 +751,7 @@ class RingTower:
         self.frobenius_matrix = _power_map(big, q)
         _check_columns(self.frobenius_matrix, basis, lambda b: big.frobenius(b, q), "Frobenius")
         orbit = _orbit_matrix(self.frobenius_matrix, self.s, big.p2)
-        self.trace_matrix = _matmul(self._proj_inv, [orbit[i] for i in self._proj_rows], big.p2)
+        self.trace_matrix = _matmul(self.project_matrix, orbit, big.p2)
         _check_columns(
             self.trace_matrix, basis, lambda b: self.project(big.orbit_sum(b, q, self.s)), "trace"
         )
@@ -827,22 +770,12 @@ class RingTower:
     def embed(self, a: GaloisRingElement) -> GaloisRingElement:
         if a.ring is not self.small:
             raise IncompatibleTowerError("element does not belong to the subring")
-        out = [0] * self.big.r
-        for j, c in enumerate(a.coeffs):
-            if c:
-                col = self.embed_cols[j]
-                for i in range(self.big.r):
-                    out[i] += c * col[i]
-        return GaloisRingElement(self.big, out)
+        return GaloisRingElement(self.big, _matvec(self.embed_matrix, a.coeffs, self.big.p2))
 
     def project(self, a: GaloisRingElement) -> GaloisRingElement:
         """Inverse of embed on its image; raises if a is not in the subring."""
-        y = [a.coeffs[i] for i in self._proj_rows]
-        coeffs = [
-            sum(self._proj_inv[i][j] * y[j] for j in range(len(y))) % self.big.p2
-            for i in range(len(y))
-        ]
-        candidate = self.small.element(coeffs)
+        coeffs = _matvec(self.project_matrix, a.coeffs, self.big.p2)
+        candidate = GaloisRingElement(self.small, coeffs)
         if self.embed(candidate) != a:
             raise InvalidTowerError(f"{a!r} does not lie in the embedded subring")
         return candidate

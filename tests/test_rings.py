@@ -79,6 +79,22 @@ def test_hensel_rejects_non_primitive():
         hensel_lift_basic_primitive((1, 0, 1), 2)  # x^2+1 = (x+1)^2 over F_2
 
 
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)]
+                         + [(p, 1) for p in range(13, 126) if rings.is_prime(p)])
+def test_hensel_lift_is_the_only_lift_of_full_order(p, max_degree):
+    # oracle: of the q lifts g + p*u (deg u < n), exactly one has ord(x) = q - 1 mod p^2
+    for n in range(1, max_degree + 1):
+        q = p**n
+        for tail in itertools.product(range(p), repeat=n):
+            g = tail + (1,)
+            if not rings.is_primitive_poly(g, p):
+                continue
+            lifts = [tuple(c + p * d for c, d in zip(g, u + (0,)))
+                     for u in itertools.product(range(p), repeat=n)]
+            full_order = [h for h in lifts if _order_of_x(list(h), p * p, q - 1) == q - 1]
+            assert full_order == [hensel_lift_basic_primitive(g, p)], (p, g)
+
+
 # -- finite fields ---------------------------------------------------------------
 
 def test_field_tables():
@@ -292,6 +308,55 @@ def test_project_inverts_embed(p, big_degree, small_degree):
     assert not tower.fixed_by_frobenius(outside)
     with pytest.raises(InvalidTowerError):
         tower.project(outside)
+
+
+def _orbit_product(big, small_degree):
+    """prod_i (X - u^(p^i)) over the Frobenius orbit of u = xi^((Q-1)/(q-1)), in big."""
+    u = big.xi ** ((big.q - 1) // (big.p**small_degree - 1))
+    poly = [big.one]
+    for i in range(small_degree):
+        root = u ** (big.p**i)
+        poly = [a - root * b for a, b in zip([big.zero] + poly, poly + [big.zero])]
+    assert all(not any(c.coeffs[1:]) for c in poly)  # the coefficients lie in Z_{p^2}
+    return tuple(c.coeffs[0] for c in poly)
+
+
+@pytest.mark.parametrize(
+    "p, big_degree, small_degree",
+    [(2, 6, 3), (2, 6, 2), (2, 8, 4), (3, 4, 2), (5, 4, 2), (7, 2, 1)],
+)
+def test_subring_modulus_is_the_orbit_product(p, big_degree, small_degree):
+    big = GaloisRing(p, big_degree)
+    assert RingTower(big, small_degree).small.modulus == _orbit_product(big, small_degree)
+
+
+def _subring_powers(p, big_degree, small_degree):
+    big = GaloisRing(p, big_degree)
+    ratio = (big.q - 1) // (p**small_degree - 1)
+    return [list(big.xi_powers[ratio * k].coeffs) for k in range(small_degree + 1)], big
+
+
+def test_monic_relation_needs_the_last_power_in_the_span():
+    powers, big = _subring_powers(2, 4, 2)
+    relation = rings._monic_relation(powers, big.p2, big.p, IncompatibleTowerError)
+    assert relation == RingTower(big, 2).small.modulus
+    # 1 lies in the subring, so a shift by p there moves f_0 by p; no other
+    # basis monomial does, so a shift there leaves the span
+    powers[2][0] += big.p
+    shifted = rings._monic_relation(powers, big.p2, big.p, IncompatibleTowerError)
+    assert shifted == ((relation[0] - big.p) % big.p2,) + relation[1:]
+    for i in range(1, big.r):
+        powers, _ = _subring_powers(2, 4, 2)
+        powers[2][i] += big.p
+        with pytest.raises(IncompatibleTowerError, match="no unique monic relation"):
+            rings._monic_relation(powers, big.p2, big.p, IncompatibleTowerError)
+
+
+def test_monic_relation_needs_independent_lower_powers():
+    powers, big = _subring_powers(3, 4, 2)
+    powers[1] = [a + big.p * b for a, b in zip(powers[0], powers[1])]  # y^1 = y^0 mod p
+    with pytest.raises(NonPrimitiveInputError, match="no unique monic relation"):
+        rings._monic_relation(powers, big.p2, big.p, NonPrimitiveInputError)
 
 
 # -- Frobenius and traces as matrices ---------------------------------------------
