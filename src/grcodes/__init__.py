@@ -42,7 +42,6 @@ from .errors import (
 )
 from .gray import (
     GrayImageReport,
-    d_hom,
     first_order_rm_code,
     gray_image_analyze,
     gray_map,

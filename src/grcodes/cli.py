@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characters import CharacterSystem
 from .codes import CodeContext, build_code
 from .errors import GRCodesError
@@ -337,24 +335,23 @@ def cmd_code_weights(cfg: RunConfig) -> int:
         ],
     }
     if cfg.full:
+        # symbol_matrix spot-checks its rows against the element-wise encoder
         mat = ctx.symbol_matrix()
-        hom = ctx.hom_weight_per_beta()
-        q2 = ctx.q * ctx.q
-        names = [format_element(ctx.small.from_code(a)) for a in range(q2)]
+        counts = ctx.symbol_counts().tolist()
+        hom = ctx.hom_weight_per_beta().tolist()
+        names = [format_element(ctx.small.from_code(a)) for a in range(ctx.q * ctx.q)]
+        classes = ctx.beta_classes() if ctx.sprime is not None and ctx.s_dual is not None else None
         rows = []
         for code in range(ctx.Q * ctx.Q):
-            beta = ctx.big.from_code(code)
-            # symbol_matrix spot-checks its rows against the element-wise encoder
-            counts = np.bincount(mat[code], minlength=q2).tolist()
             row = {
-                "beta": format_element(beta),
-                "symbols": [names[c] for c in mat[code]],
-                "counts": counts,
-                "w_hamming": ctx.n - counts[0],
-                "w_homogeneous": int(hom[code]),
+                "beta": format_element(ctx.big.from_code(code)),
+                "symbols": [names[c] for c in mat[code].tolist()],
+                "counts": counts[code],
+                "w_hamming": ctx.n - counts[code][0],
+                "w_homogeneous": hom[code],
             }
-            if ctx.sprime is not None and ctx.s_dual is not None:
-                row["beta_class"] = ctx.beta_class(beta)
+            if classes is not None:
+                row["beta_class"] = classes[code]
             rows.append(row)
         payload["per_beta"] = rows
     if cfg.format == "json":
@@ -391,15 +388,8 @@ def cmd_code_verify(cfg: RunConfig) -> int:
             f"--theorem must be one of {', '.join(sorted(SUITES))}, got {cfg.theorem!r}"
         )
     _, suite = SUITES[cfg.theorem]
-    if cfg.theorem == "2.1":
-        ring = _build_ring(cfg)
-        report: VerificationReport = suite(ring, full=cfg.full)
-    else:
-        ctx = _build_context(cfg)
-        if cfg.theorem in ("3.1", "4.4"):
-            report = suite(ctx, full=cfg.full)
-        else:
-            report = suite(ctx)
+    target = _build_ring(cfg) if cfg.theorem == "2.1" else _build_context(cfg)
+    report: VerificationReport = suite(target, full=cfg.full)
     if cfg.format == "json":
         _emit(cfg, report.to_json())
     elif cfg.format == "csv":

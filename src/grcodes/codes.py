@@ -195,6 +195,15 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unique.view(a.dtype).reshape(len(unique), a.shape[1]), counts
 
 
+def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
+    """(rows, q2) array: how often each symbol code below q2 occurs in each row.
+
+    Every row is tallied in one ``np.bincount``, with row i offset by i * q2.
+    """
+    offsets = np.arange(len(mat), dtype=np.int64)[:, None] * q2
+    return np.bincount((offsets + mat).ravel(), minlength=len(mat) * q2).reshape(len(mat), q2)
+
+
 def _int_array(values) -> np.ndarray:
     """``values`` as int64, or as Python ints when some entry does not fit in int64."""
     try:
@@ -773,42 +782,41 @@ class CodeContext:
 
     # -- exhaustive weight tables -------------------------------------------------
 
+    def symbol_counts(self) -> np.ndarray:
+        """(Q^2, q^2) array of N_beta(a): row beta code, column small-ring code a.
+
+        Every count, weight and class-table cell of the code is read from it.
+        """
+        return self._cache("symbol_counts", lambda: tally_rows(self.symbol_matrix(), self.q**2))
+
     def hamming_distribution(self) -> WeightTable:
-        mat = self.symbol_matrix()
-        q2 = self.q * self.q
-        weights = self.n - (mat == 0).sum(axis=1)
-        hamming: dict[int, int] = {}
-        for w, count in enumerate(np.bincount(weights, minlength=self.n + 1)):
-            if count:
-                hamming[w] = int(count)
-        hom_weights = self.hom_weight_per_beta()
-        homogeneous: dict[int, int] = {}
-        for w in hom_weights:
-            homogeneous[int(w)] = homogeneous.get(int(w), 0) + 1
-        # every row's symbol counts in one bincount, rows offset by q^2
-        offsets = np.arange(len(mat), dtype=np.int64)[:, None] * q2
-        counts = np.bincount((offsets + mat).ravel(), minlength=len(mat) * q2)
-        rows, multiplicity = distinct_rows(counts.reshape(len(mat), q2))
+        counts = self.symbol_counts()
+        hamming_tally = np.bincount(self.n - counts[:, 0], minlength=self.n + 1)
+        hamming = {w: c for w, c in enumerate(hamming_tally.tolist()) if c}
+        hom_tally = np.bincount(self.hom_weight_per_beta())
+        homogeneous = {w: c for w, c in enumerate(hom_tally.tolist()) if c}
+        rows, multiplicity = distinct_rows(counts)
         complete = {tuple(row): count for row, count in zip(rows.tolist(), multiplicity.tolist())}
-        nonzero_h = [w for w in hamming if w > 0]
-        nonzero_hom = sorted({w for w in homogeneous if w > 0})
         return WeightTable(
             n=self.n,
-            size=len(distinct_rows(mat)[0]),
+            size=len(distinct_rows(self.symbol_matrix())[0]),
             hamming=hamming,
             complete=complete,
             homogeneous=homogeneous,
-            min_hamming=min(nonzero_h) if nonzero_h else 0,
-            min_homogeneous=nonzero_hom[0] if nonzero_hom else 0,
+            min_hamming=min((w for w in hamming if w > 0), default=0),
+            min_homogeneous=min((w for w in homogeneous if w > 0), default=0),
         )
 
+    def _symbol_hom_weights(self) -> np.ndarray:
+        """Homogeneous weight of each small-ring code: 0, q - 1 on units, q on p * T."""
+        return np.array([0, self.q - 1, self.q], dtype=np.int64)[self.small_symbol_classes()]
+
     def hom_weight_per_beta(self) -> np.ndarray:
-        return self.hom_weights(self.symbol_matrix())
+        return self.symbol_counts() @ self._symbol_hom_weights()
 
     def hom_weights(self, mat: np.ndarray) -> np.ndarray:
         """Homogeneous weight of each row of a matrix of small-ring symbol codes."""
-        weight_of_class = np.array([0, self.q - 1, self.q], dtype=np.int64)
-        return weight_of_class[self.small_symbol_classes()[mat]].sum(axis=1)
+        return tally_rows(mat, self.q**2) @ self._symbol_hom_weights()
 
     # -- closed-form tables ---------------------------------------------------
 
@@ -862,40 +870,40 @@ class CodeContext:
             BETA_ZERO: {A_UNIT: 0, A_P_TEICH: 0, A_ZERO: self.n},
         }
 
-    def class_table(self, predictions, observe) -> TableReport:
+    def class_table(self, predictions, columns, observed: np.ndarray) -> TableReport:
         """Per-beta observations cross-checked against per-class closed forms.
 
-        ``observe(code)`` yields (column, observed value) pairs for the beta
-        of that code; ``predictions[beta class][column]`` is the closed form.
-        A cell shows the first observed value that misses its prediction, so
-        one bad beta stays visible; the betas of each class are counted too.
+        ``observed[code, j]`` is the value of column ``columns[j]`` for the
+        beta of that code, and ``predictions[beta class][name]`` is the closed
+        form of every column of that name.  A cell reads its block beta by
+        beta, its columns in order within a beta, and shows the first value
+        that misses its prediction, so one bad beta stays visible; otherwise
+        its first value.  The betas of each class are counted too.
         """
-        observed_counts = {name: 0 for name in predictions}
-        cells: dict[tuple[str, str], tuple[int, int]] = {}
-        for code, bclass in enumerate(self.beta_classes()):
-            observed_counts[bclass] += 1
-            for col, observed in observe(code):
-                predicted = predictions[bclass][col]
-                prev = cells.get((bclass, col))
-                if prev is None or (prev[0] == prev[1] and observed != predicted):
-                    cells[bclass, col] = (predicted, observed)
-        rows = [TableRow(b, col, pred, obs) for (b, col), (pred, obs) in sorted(cells.items())]
+        classes = np.array(self.beta_classes())
+        names = np.array(columns)
         predicted_counts = self.predicted_class_counts()
-        class_counts = {
-            name: (predicted_counts[name], observed_counts[name]) for name in predictions
-        }
+        class_counts: dict[str, tuple[int, int]] = {}
+        cells: dict[tuple[str, str], tuple[int, int]] = {}
+        for bclass in predictions:
+            members = np.flatnonzero(classes == bclass)
+            class_counts[bclass] = (predicted_counts[bclass], len(members))
+            if not len(members):
+                continue
+            for col in set(columns):
+                block = observed[np.ix_(members, np.flatnonzero(names == col))].ravel()
+                predicted = predictions[bclass][col]
+                misses = np.flatnonzero(block != predicted)
+                cells[bclass, col] = (predicted, int(block[misses[0] if len(misses) else 0]))
+        rows = [TableRow(b, col, pred, obs) for (b, col), (pred, obs) in sorted(cells.items())]
         return TableReport(rows=rows, class_counts=class_counts)
 
     def theorem33_table(self) -> TableReport:
         """Symbol-count table in the e = 1 setting, every cell cross-checked."""
         self._require_table_hypotheses(need_e_one=True)
-        mat = self.symbol_matrix()
         q, Q, pd = self.q, self.Q, self.p**self.d
         a_classes = [(A_ZERO, A_UNIT, A_P_TEICH)[c] for c in self.small_symbol_classes()]
-        report = self.class_table(
-            self.table1_predictions(),
-            lambda code: zip(a_classes, np.bincount(mat[code], minlength=q * q).tolist()),
-        )
+        report = self.class_table(self.table1_predictions(), a_classes, self.symbol_counts())
         table = self.hamming_distribution()
         report.extras = {
             "min_hamming_distance": (

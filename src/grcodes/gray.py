@@ -39,12 +39,6 @@ def hom_weight_vec(symbols) -> int:
     return sum(hom_weight(a) for a in symbols)
 
 
-def d_hom(ctx: CodeContext) -> int:
-    """Minimum homogeneous weight over nonzero codewords (valid by linearity)."""
-    weights = ctx.hom_weight_per_beta()
-    return int(weights[1:].min()) if len(weights) > 1 else 0
-
-
 # ---------------------------------------------------------------------------
 # closed-form homogeneous weights of trace codewords
 # ---------------------------------------------------------------------------
@@ -81,11 +75,10 @@ def theorem45_table(ctx: CodeContext) -> TableReport:
         BETA_ZERO: (0, 0),
     }
     predictions = {name: dict(zip(columns, pair)) for name, pair in by_class.items()}
-    weights = ctx.hom_weight_per_beta().tolist()
-    tilde_weights = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
-    return ctx.class_table(
-        predictions, lambda code: zip(columns, (weights[code], tilde_weights[code]))
+    observed = np.stack(
+        [ctx.hom_weight_per_beta(), ctx.hom_weights(ctx.tilde_symbol_matrix())], axis=1
     )
+    return ctx.class_table(predictions, columns, observed)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +173,8 @@ def gray_image_analyze(
     mat = ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
     gray = _gray_matrix(ctx, mat)
     size = len(distinct_rows(gray)[0])
-    weights_arr = (gray != 0).sum(axis=1)
-    weights: dict[int, int] = {}
-    for w in weights_arr.tolist():
-        weights[int(w)] = weights.get(int(w), 0) + 1
+    weight_tally = np.bincount(np.count_nonzero(gray, axis=1))
+    weights = {w: count for w, count in enumerate(weight_tally.tolist()) if count}
     distances = pair_distances(gray)
     nonzero = sorted(d for d in distances if d > 0)
     two_distance = len(nonzero) == 2

@@ -255,12 +255,11 @@ class FiniteField:
         self.exp: list[int] = []
         self.log: dict[int, int] = {}
         cur = [1]
-        xpoly = _pmod([0, 1], list(modulus), p)
         for i in range(q - 1):
             code = self._encode(cur)
             self.exp.append(code)
             self.log[code] = i
-            cur = _pmod(_pmul(cur, xpoly, p), list(modulus), p)
+            cur = _pmod([0] + cur, modulus, p)  # times x: a shift, then one reduction step
         if self._encode(cur) != 1 or len(self.log) != q - 1:
             raise NonPrimitiveInputError("modulus is not primitive")
         self.generator = self.exp[1 % (q - 1)] if q > 2 else 1
@@ -484,12 +483,13 @@ class GaloisRing:
         # Teichmuller tables: xi powers, discrete logs, and the bijection pT <-> T
         self.xi_powers: list[GaloisRingElement] = []
         self.teichmuller_log: dict[tuple[int, ...], int] = {}
-        cur = self.one
+        cur = [1]
         for i in range(q - 1):
-            self.xi_powers.append(cur)
-            self.teichmuller_log[cur.coeffs] = i
-            cur = cur * self.xi
-        if cur != self.one or len(self.teichmuller_log) != q - 1:
+            power = GaloisRingElement(self, cur + [0] * (r - len(cur)))
+            self.xi_powers.append(power)
+            self.teichmuller_log[power.coeffs] = i
+            cur = _pmod([0] + cur, modulus, self.p2)  # times xi: a shift, then one reduction step
+        if cur != [1] or len(self.teichmuller_log) != q - 1:
             raise NonPrimitiveInputError("modulus is not basic primitive: xi order check failed")
         self._p_teich: dict[tuple[int, ...], GaloisRingElement] = {}
         for t in self.teichmuller_set():

@@ -26,7 +26,7 @@ from grcodes.errors import (
     NotRationalError,
     PreconditionViolatedError,
 )
-from grcodes.gray import theorem44_hom_weight
+from grcodes.gray import hom_weight_vec, theorem44_hom_weight, theorem45_table
 from grcodes.rings import (
     FiniteField,
     GaloisRing,
@@ -661,3 +661,119 @@ def test_suite_31_full_tallies_match_count_components(name):
         assert record.check_id == f"beta-{format_element(beta)}"
         assert record.observed == str(_tally(ctx, beta))
     assert report.all_ok
+
+
+# -- the one count table and the tables read from it ------------------------------
+
+def test_tally_rows_counts_each_symbol_of_each_row():
+    mat = np.array([[0, 3, 3, 1], [2, 2, 2, 2], [3, 0, 1, 0]], dtype=np.int64)
+    assert codes.tally_rows(mat, 4).tolist() == [[1, 1, 0, 2], [0, 0, 4, 0], [2, 1, 0, 1]]
+    assert codes.tally_rows(mat, 5).tolist() == [[1, 1, 0, 2, 0], [0, 0, 4, 0, 0], [2, 1, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("name", ["p2-n12", "random-1", "p5-n30"])  # p = 2, 3, 5
+def test_weights_read_from_the_count_table_match_encode(name):
+    ctx = _oracle_code(name)
+    counts = ctx.symbol_counts()
+    assert ctx.symbol_counts() is counts  # tallied once
+    hom = ctx.hom_weight_per_beta().tolist()
+    tilde = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
+    table = ctx.hamming_distribution()
+    hamming: dict[int, int] = {}
+    for beta in ctx.big.elements():
+        word = ctx.encode(beta)
+        assert counts[beta.code].tolist() == _tally(ctx, beta), (ctx, beta)
+        assert hom[beta.code] == hom_weight_vec(word), (ctx, beta)
+        assert tilde[beta.code] == hom_weight_vec(ctx.encode_tilde(beta)), (ctx, beta)
+        weight = sum(1 for a in word if not a.is_zero())
+        hamming[weight] = hamming.get(weight, 0) + 1
+    assert table.hamming == hamming
+    homogeneous = {w: hom.count(w) for w in set(hom)}
+    assert table.homogeneous == homogeneous
+    assert table.min_homogeneous == min([w for w in hom if w] or [0])
+
+
+def _class_table_oracle(ctx, predictions, columns, observed):
+    """The per-(beta, column) loop that filled each cell, kept as the oracle."""
+    observed_counts = {name: 0 for name in predictions}
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
+    for code, bclass in enumerate(ctx.beta_classes()):
+        observed_counts[bclass] += 1
+        for col, value in zip(columns, observed[code].tolist()):
+            predicted = predictions[bclass][col]
+            prev = cells.get((bclass, col))
+            if prev is None or (prev[0] == prev[1] and value != predicted):
+                cells[bclass, col] = (predicted, value)
+    predicted_counts = ctx.predicted_class_counts()
+    return (
+        [(b, col, pred, obs) for (b, col), (pred, obs) in sorted(cells.items())],
+        {name: (predicted_counts[name], observed_counts[name]) for name in predictions},
+    )
+
+
+def _check_class_table(ctx, predictions, columns, observed) -> bool:
+    report = ctx.class_table(predictions, columns, observed)
+    rows = [(r.beta_class, r.a_class, r.predicted, r.enumerated) for r in report.rows]
+    assert all(type(r.enumerated) is int for r in report.rows)
+    assert (rows, report.class_counts) == _class_table_oracle(ctx, predictions, columns, observed)
+    return report.all_match
+
+
+def _corrupt(rng, observed, cells):
+    """A copy of ``observed`` with each distinct (row, column) shifted by a nonzero amount."""
+    observed = observed.copy()
+    for row, col in dict.fromkeys(cells):
+        observed[row, col] += rng.choice([-3, -2, -1, 1, 2, 3])
+    return observed
+
+
+def _class_table_cases(ctx, columns, observed, seed):
+    """Seeded corruptions, and the cells where reading order decides the witness."""
+    rng = random.Random(seed)
+    classes = ctx.beta_classes()
+    cases = [[]]
+    for _ in range(6):
+        cases.append([(rng.randrange(len(observed)), rng.randrange(len(columns)))
+                      for _ in range(rng.randint(1, 4))])
+    # cells do not interact, so each pattern is seeded in every cell of one table
+    later, middle, two_misses, beta_major = [], [], [], []
+    for bclass in sorted(set(classes)):
+        members = [code for code, c in enumerate(classes) if c == bclass]
+        first, second = members[0], members[-1]
+        for name in sorted(set(columns)):
+            cols = [j for j, c in enumerate(columns) if c == name]
+            later.append((first, cols[-1]))  # a later column of a repeated name
+            middle.append((first, cols[len(cols) // 2]))
+            two_misses += [(first, cols[0]), (second, cols[0])]
+            beta_major += [(second, cols[0]), (first, cols[-1])]
+    cases += [later, middle, two_misses, beta_major]
+    return [_corrupt(rng, observed, cells) for cells in cases]
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((2, 3, 2), dict(e=1, d=3, sprime=1)),  # n = 504
+    ((2, 1, 2), dict(e=1, d=2, sprime=1)),  # n = 12, with an empty beta class
+])
+def test_class_table_matches_the_cell_loop_on_symbol_counts(args, kwargs):
+    ctx = build_code(*args, **kwargs)
+    columns = [(codes.A_ZERO, codes.A_UNIT, codes.A_P_TEICH)[c] for c in ctx.small_symbol_classes()]
+    predictions = ctx.table1_predictions()
+    cases = _class_table_cases(ctx, columns, ctx.symbol_counts(), seed=ctx.n)
+    verdicts = [_check_class_table(ctx, predictions, columns, observed) for observed in cases]
+    assert verdicts[0] and not any(verdicts[1:])
+
+
+def test_class_table_matches_the_cell_loop_on_hom_weights():
+    ctx = build_code(3, 1, 3, e=2, d=2, sprime=1)  # n = 117
+    report = theorem45_table(ctx)
+    predictions: dict[str, dict[str, int]] = {}
+    for row in report.rows:  # every class is nonempty here, so every prediction has a row
+        predictions.setdefault(row.beta_class, {})[row.a_class] = row.predicted
+    assert report.all_match and set(predictions) == set(report.class_counts)
+    columns = ("w_hom", "w_hom_tilde")
+    observed = np.stack(
+        [ctx.hom_weight_per_beta(), ctx.hom_weights(ctx.tilde_symbol_matrix())], axis=1
+    )
+    cases = _class_table_cases(ctx, columns, observed, seed=ctx.n)
+    verdicts = [_check_class_table(ctx, predictions, columns, table) for table in cases]
+    assert verdicts[0] and not any(verdicts[1:])

@@ -5,7 +5,6 @@ from grcodes.codes import build_code
 from grcodes.errors import PreconditionViolatedError
 from grcodes.gray import (
     _gray_matrix,
-    d_hom,
     first_order_rm_code,
     gray_image_analyze,
     gray_map,
@@ -88,7 +87,7 @@ def test_theorem44_tilde_scaling():
 
 def test_d_hom():
     ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
-    assert d_hom(ctx) == 12
+    assert ctx.hamming_distribution().min_homogeneous == 12
 
 
 def test_theorem45_table():

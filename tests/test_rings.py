@@ -106,6 +106,18 @@ def test_field_tables():
     assert all(F9.mul(x, F9.inv(x)) == 1 for x in F9.units())
 
 
+@pytest.mark.parametrize("p, r", list(itertools.product((2, 3, 5), (1, 2, 4))))
+def test_xi_powers_match_powers_of_x(p, r):
+    ring = GaloisRing(p, r)
+    field = ring.residue_field
+    for k in range(ring.q - 1):
+        power = rings._ppow_x(k, list(ring.modulus), ring.p2)
+        assert ring.xi_powers[k].coeffs == tuple(power + [0] * (r - len(power))), k
+        assert field.exp[k] == field.from_coeffs(rings._ppow_x(k, list(field.modulus), p)), k
+    # xi^(q-1) = 1; at r = 1, x mod the modulus is a constant
+    assert ring.xi_powers[1 % (ring.q - 1)] == ring.xi
+
+
 def test_field_trace_additivity():
     F8 = FiniteField(2, 3)
     for x in F8.elements():
