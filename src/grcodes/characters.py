@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .cyclotomic import CyclotomicInteger
 from .errors import InvalidSubgroupError, NotAUnitError
 from .rings import FiniteField, GaloisRing, GaloisRingElement
@@ -56,7 +58,6 @@ class CharacterSystem:
         self._scale_p = self.m // p
         self._scale_t = self.m // (q - 1) if q > 2 else 0
         self._unit_data: list[GaloisRingElement] | None = None
-        self._coord_data: list[tuple[int, int]] | None = None
         self._gq_cache: dict[int, CyclotomicInteger] = {}
         self._add_rows: dict[tuple[int, ...], list[int]] = {}
         self._mult_rows: dict[tuple, list[int]] = {}
@@ -111,14 +112,6 @@ class CharacterSystem:
             self._unit_data = list(self.ring.units())
         return self._unit_data
 
-    def _unit_coords(self) -> list[tuple[int, int]]:
-        # (k, v_bar) of each unit, in code order (definition order), from the ring's table
-        if self._coord_data is None:
-            logs_k, logs_v = self.ring.log_table()
-            units = logs_v >= 0
-            self._coord_data = list(zip(logs_k[units].tolist(), logs_v[units].tolist()))
-        return self._coord_data
-
     def _additive_row(self, beta: GaloisRingElement) -> list[int]:
         # exponent of lambda_beta at each unit, in definition order
         row = self._add_rows.get(beta.coeffs)
@@ -128,19 +121,17 @@ class CharacterSystem:
         return row
 
     def _mult_row(self, chi: tuple[int, GaloisRingElement]) -> list[int]:
-        # exponent of chi at each unit, in definition order
-        i, b = chi
-        key = (i % max(self.ring.q - 1, 1), b.coeffs)
+        # cyclic[k] + additive[v_bar] at each unit xi^k (1 + p T(v_bar)), in definition order
+        ring = self.ring
+        order = max(ring.q - 1, 1)
+        key = (chi[0] % order, chi[1].coeffs)
         row = self._mult_rows.get(key)
         if row is None:
-            ring, field = self.ring, self.ring.residue_field
-            b_bar = ring.reduce_mod_p(b)
-            order = ring.q - 1
-            row = []
-            for k, v_bar in self._unit_coords():
-                e = (i * k % order) * self._scale_t if ring.q > 2 else 0
-                e += field.trace_to_prime(field.mul(b_bar, v_bar)) * self._scale_p
-                row.append(e % self.m)
+            cyclic = key[0] * np.arange(order) % order * self._scale_t
+            additive = ring.residue_field.trace_row(ring.reduce_mod_p(chi[1])) * self._scale_p
+            logs_k, logs_v = ring.log_table()
+            units = logs_v >= 0
+            row = ((cyclic[logs_k[units]] + additive[logs_v[units]]) % self.m).tolist()
             self._mult_rows[key] = row
         return row
 
@@ -236,15 +227,25 @@ def ring_quotient_characters(
 ) -> list[tuple[int, GaloisRingElement]]:
     """Characters of the unit group trivial on the subgroup the generators span.
 
-    The returned list is deterministic (ordered by (i, Teichmuller code)) and
-    its size is verified against the index of the subgroup.
+    (i, b) sends g = xi^k (1 + p T(v_bar)) to zeta_{q-1}^(i k) zeta_p^tr(b_bar v_bar),
+    and gcd(p, q - 1) = 1, so it is trivial on g exactly when both factors are 1:
+    the i and the b are found by two separate scans.  The list is ordered by i,
+    then by ``teichmuller_set()`` (zero first, then by xi-exponent); its size is
+    verified against the index of the subgroup.
     """
     ring = system.ring
-    chars = [
-        chi
-        for chi in system.all_mult_chars()
-        if all(system.mult_exponent(chi, g) == 0 for g in generators)
+    for g in generators:
+        if not g.is_unit:
+            raise NotAUnitError(f"{g!r} is not a unit")
+    logs = [ring.unit_log(g) for g in generators]
+    order = max(ring.q - 1, 1)
+    i_part = [i for i in range(order) if all(i * k % order == 0 for k, _ in logs)]
+    traces = [ring.residue_field.trace_row(v_bar) for _, v_bar in logs]  # read at b_bar
+    b_part = [
+        b for b in ring.teichmuller_set()
+        if not any(row[ring.reduce_mod_p(b)] for row in traces)
     ]
+    chars = [(i, b) for i in i_part for b in b_part]
     ambient = ring.q * (ring.q - 1)
     if len(chars) * subgroup_size != ambient:
         raise InvalidSubgroupError(

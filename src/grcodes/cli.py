@@ -131,28 +131,24 @@ def _build_ring(cfg: RunConfig) -> GaloisRing:
     return GaloisRing(cfg.p, cfg.r, modulus=_parse_modulus(cfg), allow_large=cfg.allow_large)
 
 
-def _parse_vbar(cfg: RunConfig, ctx_field) -> list[int] | None:
+def _parse_vbar(cfg: RunConfig) -> list[int] | None:
+    """--vbar as codes of the big residue field F_{p^(r s)}; x^j has the code p^j."""
     if cfg.vbar is None:
         return None
+    degree = cfg.r * cfg.s
     token = cfg.vbar.strip().lower()
     if token == "full":
-        return [ctx_field.from_coeffs([int(i == j) for i in range(ctx_field.r)])
-                for j in range(ctx_field.r)]
+        return [cfg.p**j for j in range(degree)]
     if token == "zero":
         return []
-    return [parse_field_element(ctx_field, row) for row in cfg.vbar.split(";")]
+    return [parse_field_element(cfg.p, degree, row) for row in cfg.vbar.split(";")]
 
 
 def _build_context(cfg: RunConfig) -> CodeContext:
     _require(cfg, "p", "r", "s", "e")
-    vbar = None
-    if cfg.vbar is not None:
-        # the basis parser needs the big residue field, so probe it first
-        probe = GaloisRing(cfg.p, cfg.r * cfg.s, allow_large=cfg.allow_large)
-        vbar = _parse_vbar(cfg, probe.residue_field)
     return build_code(
         cfg.p, cfg.r, cfg.s, cfg.e,
-        vbar_basis=vbar, d=cfg.d, sprime=cfg.sprime,
+        vbar_basis=_parse_vbar(cfg), d=cfg.d, sprime=cfg.sprime,
         modulus=_parse_modulus(cfg), allow_large=cfg.allow_large,
     )
 

@@ -474,10 +474,9 @@ class CodeContext:
         trace = None
         if teich is not None:
             FQ = self.big.residue_field
-            trace = np.array([
-                [FQ.trace_to_prime(FQ.mul(b_bar, v)) for v in FQ.elements()]
-                for b_bar in map(self.big.reduce_mod_p, teich)
-            ], dtype=np.int64).reshape(len(teich), self.Q)
+            trace = np.array(
+                [FQ.trace_row(self.big.reduce_mod_p(b)) for b in teich], dtype=np.int64
+            ).reshape(len(teich), self.Q)
         return CharTable(
             index=np.array(index, dtype=np.int64),
             trace=trace,

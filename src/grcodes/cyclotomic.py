@@ -156,7 +156,7 @@ class CyclotomicInteger:
     have many internal representations.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "coeffs", "_canonical")
 
     def __init__(self, m: int, coeffs):
         coeffs = tuple(coeffs)
@@ -164,6 +164,7 @@ class CyclotomicInteger:
             raise ValueError("coefficient vector must have length m >= 1")
         self.m = m
         self.coeffs = coeffs
+        self._canonical: tuple[int, ...] | None = None  # filled on first use; values never change
 
     # -- constructors -------------------------------------------------
 
@@ -266,9 +267,11 @@ class CyclotomicInteger:
 
     def canonical(self) -> tuple[int, ...]:
         """Coefficients of the unique representative of degree < deg(Phi_m)."""
-        dtype = sum_dtype(self.m, sum(map(abs, self.coeffs)))
-        (row,) = canonical_rows(np.array([self.coeffs], dtype=dtype), self.m)
-        return tuple(row)
+        if self._canonical is None:
+            dtype = sum_dtype(self.m, sum(map(abs, self.coeffs)))
+            (row,) = canonical_rows(np.array([self.coeffs], dtype=dtype), self.m)
+            self._canonical = tuple(row)
+        return self._canonical
 
     def canonical_reduce(self) -> "CyclotomicInteger":
         """Same value, rewritten with all exponents below deg(Phi_m); idempotent."""
@@ -279,10 +282,6 @@ class CyclotomicInteger:
 
     def is_zero(self) -> bool:
         return not any(self.canonical())
-
-    def is_rational_integer(self) -> bool:
-        can = self.canonical()
-        return not any(can[1:])
 
     def as_rational_integer(self) -> int:
         """The value as a plain integer; raises NotRationalError otherwise."""
@@ -304,15 +303,10 @@ class CyclotomicInteger:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_rational_integer() and self.as_rational_integer() == other
-        if isinstance(other, CyclotomicInteger):
-            if other.m != self.m:
-                raise OrderMismatchError(
-                    f"root orders differ: {self.m} vs {other.m}; coerce explicitly"
-                )
-            return (self - other).is_zero()
-        return NotImplemented
+        other = self._coerce_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.canonical() == other.canonical()
 
     def __hash__(self):
         return hash((self.m, self.canonical()))

@@ -333,6 +333,10 @@ class FiniteField:
             self._trace_table = table
         return self._trace_table[a]
 
+    def trace_row(self, b: int) -> np.ndarray:
+        """tr(b * v) for every field code v, as an int64 array indexed by v."""
+        return np.array([self.trace_to_prime(self.mul(b, v)) for v in self.elements()], np.int64)
+
     def __repr__(self):
         return f"FiniteField(p={self.p}, r={self.r})"
 
@@ -830,12 +834,17 @@ def format_element(a: GaloisRingElement) -> str:
     return ",".join(str(c) for c in a.coeffs)
 
 
-def parse_field_element(field: FiniteField, literal: str) -> int:
+def parse_field_element(p: int, degree: int, literal: str) -> int:
+    """The code of a literal of F_{p^degree}, its digits mod p read in base p; needs no field."""
+    if not is_prime(p):
+        raise NonPrimitiveInputError(f"p={p} is not prime")
     try:
-        coeffs = [int(part) % field.p for part in literal.split(",")]
+        coeffs = [int(part) % p for part in literal.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad field element literal {literal!r}: {exc}") from None
-    return field.from_coeffs(coeffs)
+    if len(coeffs) > degree:
+        raise ValueError(f"too many coefficients for degree {degree}")
+    return sum(c * p**j for j, c in enumerate(coeffs))
 
 
 def format_field_element(field: FiniteField, code: int) -> str:

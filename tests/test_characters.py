@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from grcodes.characters import (
@@ -129,6 +132,74 @@ def test_ring_quotient_characters(R42):
     # wrong subgroup size is rejected
     with pytest.raises(InvalidSubgroupError):
         ring_quotient_characters(cs, gens, 6)
+
+
+def _quotient_characters_oracle(system, generators, subgroup_size):
+    """The scan over every character, with the scalar exponent, that the split replaced."""
+    chars = [
+        chi
+        for chi in system.all_mult_chars()
+        if all(system.mult_exponent(chi, g) == 0 for g in generators)
+    ]
+    ambient = system.ring.q * (system.ring.q - 1)
+    if len(chars) * subgroup_size != ambient:
+        raise InvalidSubgroupError(
+            f"quotient character count {len(chars)} x subgroup size {subgroup_size} "
+            f"!= unit group order {ambient}; generators do not span the subgroup"
+        )
+    return chars
+
+
+def _same_as_oracle(system, generators, subgroup_size):
+    """Both routes return the same list in the same order, or raise the same error."""
+    outcomes = []
+    for route in (_quotient_characters_oracle, ring_quotient_characters):
+        try:
+            outcomes.append([(i, b.coeffs) for i, b in route(system, generators, subgroup_size)])
+        except (InvalidSubgroupError, NotAUnitError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], (system.ring, generators, subgroup_size)
+    return outcomes[1]
+
+
+def _subgroup_size(ring, generators) -> int:
+    """Order of the subgroup the generators span, by closure under ring products."""
+    seen = {ring.one.coeffs}
+    frontier = [ring.one]
+    while frontier:
+        products = [x * g for x in frontier for g in generators]
+        frontier = []
+        for y in products:
+            if y.coeffs not in seen:
+                seen.add(y.coeffs)
+                frontier.append(y)
+    return len(seen)
+
+
+@pytest.mark.parametrize("p, r", list(itertools.product((2, 3, 5), (1, 2, 3))))
+def test_quotient_characters_match_the_scan_on_seeded_generators(p, r):
+    ring = GaloisRing(p, r)
+    system = CharacterSystem(ring)
+    rng = random.Random(f"quotient-characters:{p}:{r}")
+    units = [x for x in ring.elements() if x.is_unit]
+    order = len(units)
+    exponents = [d for d in range(1, order + 1) if order % d == 0]
+    for _ in range(4):
+        gens = [rng.choice(units) ** rng.choice(exponents) for _ in range(rng.randint(0, 3))]
+        size = _subgroup_size(ring, gens)
+        assert len(_same_as_oracle(system, gens, size)) * size == order
+
+
+def test_quotient_characters_refuse_like_the_scan(R42):
+    system = CharacterSystem(R42)
+    gens = [R42.xi, R42.one + R42.xi * 2]
+    size = _subgroup_size(R42, gens)
+    for wrong in (1, size - 1, 2 * size):
+        assert _same_as_oracle(system, gens, wrong)[0] is InvalidSubgroupError
+    ideal = R42.xi * 2
+    for gens in ([ideal], [R42.xi, ideal, R42.zero], [R42.zero, R42.xi]):
+        bad = next(g for g in gens if not g.is_unit)
+        assert _same_as_oracle(system, gens, size) == (NotAUnitError, f"{bad!r} is not a unit")
 
 
 @pytest.mark.parametrize("p, r", [(2, 3), (3, 2), (5, 1)])

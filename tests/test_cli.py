@@ -174,6 +174,24 @@ def test_code_verify_unknown_theorem():
     assert status == 2
 
 
+@pytest.mark.parametrize("ring, vbar, message", [
+    # a malformed --vbar is reported before a ring too large or of degree 0
+    (("--p", "2", "--s", "13"), "x", "bad field element literal 'x'"),
+    (("--p", "2", "--s", "13"), ",".join("1" * 14), "too many coefficients for degree 13"),
+    (("--p", "2", "--s", "0"), "1", "too many coefficients for degree 0"),
+    # but after a p that is not prime, and a well-formed --vbar leaves the ring's own error
+    (("--p", "4", "--s", "2"), "x", "p=4 is not prime"),
+    (("--p", "4", "--s", "2"), "1,1", "p=4 is not prime"),
+    (("--p", "0", "--s", "2"), "1,1", "p=0 is not prime"),
+    (("--p", "0", "--s", "2"), "full", "p=0 is not prime"),
+    (("--p", "2", "--s", "13"), "1,1", "above the desk-scale guard"),
+])
+def test_vbar_is_read_without_building_a_ring(ring, vbar, message):
+    status, out, err = run_cli("code", "build", *ring, "--r", "1", "--e", "1", "--vbar", vbar)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_gray_map_cli():
     status, out, _ = run_cli("gray", "map", "--p", "2", "--r", "1", "--beta", "2")
     assert status == 0

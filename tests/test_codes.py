@@ -35,6 +35,7 @@ from grcodes.rings import (
     is_primitive_poly,
 )
 from grcodes.verify import suite_component_counts
+from test_characters import _quotient_characters_oracle
 
 
 @pytest.fixture(scope="module")
@@ -607,6 +608,15 @@ def test_symbol_matrix_matches_encode_on_every_beta(name):
     assert mat.shape == (ctx.Q * ctx.Q, ctx.n) and mat.dtype == np.int64
     for beta in ctx.big.elements():
         assert mat[beta.code].tolist() == [sym.code for sym in ctx.encode(beta)], (ctx, beta)
+
+
+@pytest.mark.parametrize("name", _ORACLE_CODES)
+def test_quotient_characters_match_the_scan(name):
+    ctx = _oracle_code(name)
+    for which, chars in (("G", ctx.chars_mod_G()), ("G1M", ctx.chars_mod_G1M()),
+                         ("GRstar", ctx.chars_mod_GRstar())):
+        expected = _quotient_characters_oracle(ctx.system, *ctx._subgroup_generators(which))
+        assert [(i, b.coeffs) for i, b in chars] == [(i, b.coeffs) for i, b in expected], which
 
 
 @pytest.mark.parametrize("name", ["p2-n12", "random-1", "random-2", "p5-n30"])

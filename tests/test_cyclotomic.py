@@ -55,6 +55,22 @@ def test_canonical_reduction():
     assert reduced.canonical_reduce().coeffs == reduced.coeffs  # idempotent
 
 
+def test_each_value_is_reduced_once(monkeypatch):
+    rows = []
+    reduce_rows = cyc.canonical_rows
+
+    def counted(sums, m):
+        rows.append(m)
+        return reduce_rows(sums, m)
+
+    monkeypatch.setattr(cyc, "canonical_rows", counted)
+    x = CyclotomicInteger.zeta(12, 5) + CyclotomicInteger.zeta(12, 7)
+    y = CyclotomicInteger.zeta(12, 5) - CyclotomicInteger.zeta(12, 1)  # zeta^7 = -zeta
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "Cyc[12](-2*z^1 + z^3)"
+    assert not x.is_zero() and x.canonical_reduce() == x and x != 0
+    assert len(rows) == 2 + 1 + 1  # x and y once each, then the reduced copy and the 0
+
+
 def test_as_rational_integer():
     assert sum(CyclotomicInteger.zeta(3, k) for k in range(3)).as_rational_integer() == 0
     assert CyclotomicInteger.zeta(4, 2).as_rational_integer() == -1
@@ -72,6 +88,9 @@ def test_abs_square():
 def test_order_mismatch():
     with pytest.raises(OrderMismatchError):
         CyclotomicInteger.zeta(4) + CyclotomicInteger.zeta(8)
+    with pytest.raises(OrderMismatchError, match="root orders differ: 4 vs 8; coerce explicitly"):
+        CyclotomicInteger.zeta(4) == CyclotomicInteger.zeta(8)
+    assert (CyclotomicInteger.zeta(4) == "z") is False
     with pytest.raises(OrderMismatchError):
         CyclotomicInteger.zeta(4).coerce(6)
 

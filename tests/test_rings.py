@@ -20,6 +20,7 @@ from grcodes.rings import (
     format_element,
     hensel_lift_basic_primitive,
     parse_element,
+    parse_field_element,
 )
 
 
@@ -116,6 +117,14 @@ def test_xi_powers_match_powers_of_x(p, r):
         assert field.exp[k] == field.from_coeffs(rings._ppow_x(k, list(field.modulus), p)), k
     # xi^(q-1) = 1; at r = 1, x mod the modulus is a constant
     assert ring.xi_powers[1 % (ring.q - 1)] == ring.xi
+
+
+@pytest.mark.parametrize("p, r", list(itertools.product((2, 3, 5), (1, 2, 3))))
+def test_trace_row_matches_the_scalar_trace(p, r):
+    field = FiniteField(p, r)
+    for b in field.elements():
+        expected = [field.trace_to_prime(field.mul(b, v)) for v in field.elements()]
+        assert field.trace_row(b).tolist() == expected, b
 
 
 def test_field_trace_additivity():
@@ -485,3 +494,8 @@ def test_element_literals(Z4, R42):
     assert format_element(parse_element(R42, "7,2")) == "3,2"
     with pytest.raises(ValueError):
         parse_element(Z4, "x")
+    F27 = FiniteField(3, 3)
+    assert parse_field_element(3, 3, "4,-1") == F27.from_coeffs([1, 2]) == 1 + 2 * 3
+    assert parse_field_element(3, 3, "0,0,1") == 9 and parse_field_element(3, 3, "2") == 2
+    with pytest.raises(ValueError, match="too many coefficients for degree 3"):
+        parse_field_element(3, 3, "1,0,0,1")
