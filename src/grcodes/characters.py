@@ -10,7 +10,8 @@ Gauss sums G(chi, lambda) = sum over units of chi(x) lambda(x) are computed
 two independent ways: literally by enumeration, and through the closed-form
 case table that reduces every nontrivial value to a finite-field Gauss sum.
 Cross-validating the two routes on whole rings is one of the package's main
-correctness checks.
+correctness checks.  ``gauss_sum_rows`` runs both routes for one chi and
+every beta at once; the scalar methods stay as the per-pair oracles.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import math
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger
-from .errors import InvalidSubgroupError, NotAUnitError
+from .cyclotomic import CyclotomicInteger, values_from_rows
+from .errors import InvalidSubgroupError, InvalidTowerError, NotAUnitError
 from .rings import FiniteField, GaloisRing, GaloisRingElement
 
 
@@ -61,6 +62,7 @@ class CharacterSystem:
         self._gq_cache: dict[int, CyclotomicInteger] = {}
         self._add_rows: dict[tuple[int, ...], list[int]] = {}
         self._mult_rows: dict[tuple, list[int]] = {}
+        self._add_block: np.ndarray | None = None
 
     # -- character ids ------------------------------------------------------
 
@@ -145,6 +147,30 @@ class CharacterSystem:
             counts[(em + ea) % m] += 1
         return CyclotomicInteger(m, counts)
 
+    def _additive_block(self) -> np.ndarray:
+        """Exponent of lambda_beta at every unit x: a (q^2, q(q-1)) array, both in code order.
+
+        Tr(beta x) = digits(beta) H digits(x)^T with the trace form
+        H[i][j] = Tr(xi^(i+j)); H is checked against the scalar trace of the
+        basis products when it is built.
+        """
+        if self._add_block is None:
+            ring = self.ring
+            r, p2, q = ring.r, ring.p2, ring.q
+            xi = np.array([x.coeffs for x in ring.xi_powers], dtype=np.int64)
+            traces = xi[np.arange(2 * r - 1) % (q - 1)] @ np.array(ring.trace_vector) % p2
+            form = traces[np.add.outer(np.arange(r), np.arange(r))]  # Tr(xi^(i+j))
+            basis = ring.xi_powers[:r]
+            for i, j in np.ndindex(r, r):
+                if form[i, j] != ring.trace_to_prime(basis[i] * basis[j]):
+                    raise InvalidTowerError(
+                        f"trace form disagrees with the scalar trace at xi^{i} xi^{j}"
+                    )
+            digits = np.arange(q * q)[:, None] // p2 ** np.arange(r) % p2  # (q^2, r)
+            units = digits[ring.log_table()[1] >= 0]
+            self._add_block = (digits @ form @ units.T % p2) * self._scale_p2
+        return self._add_block
+
     # -- Gauss sums, closed-form route -----------------------------------------
 
     def gauss_sum_field_induced(self, i: int) -> CyclotomicInteger:
@@ -204,6 +230,49 @@ class CharacterSystem:
         y = ring.xi_powers[ring.log_table()[0][beta.code]]
         twist = self.eval_mult_conj(chi, y)
         return twist * self.gauss_sum_lambda_p(chi)
+
+    # -- Gauss sums for every beta, one chi at a time ----------------------------
+
+    def gauss_sum_rows(
+        self, chi: tuple[int, GaloisRingElement]
+    ) -> tuple[list[CyclotomicInteger], list[CyclotomicInteger]]:
+        """The closed-form and the definitional G(chi, lambda_beta) for every beta.
+
+        Both lists follow ``ring.elements()`` order, and each list is reduced
+        by one ``values_from_rows`` call.  The definitional sums are one
+        offset bincount over the exponents of chi * lambda_beta at every
+        unit; the closed forms follow the case table of
+        ``gauss_sum_closed_form``, twisting the base value by a cyclic shift,
+        with no enumeration of units.
+        """
+        ring, m = self.ring, self.m
+        q = ring.q
+        size = q * q
+        mult_row = self._mult_row(chi)
+        exps = (np.array(mult_row) + self._additive_block()) % m
+        exps += np.arange(0, size * m, m)[:, None]
+        definition = np.bincount(exps.ravel(), minlength=size * m).reshape(size, m)
+
+        closed = np.zeros((size, m), dtype=np.int64)
+        k, v = ring.log_table()
+        units = v >= 0
+        ideal = (k >= 0) & ~units  # beta = p xi^k
+        if self.mult_char_is_trivial(chi):
+            closed[0, 0] = q * (q - 1)
+            closed[ideal, 0] = -q
+        else:
+            at_unit = np.zeros(size, dtype=np.int64)
+            at_unit[units] = mult_row
+            teich = units & (v == 0)  # v = 0 is xi^k itself
+            at_xi = np.zeros(max(q - 1, 1), dtype=np.int64)
+            at_xi[k[teich]] = at_unit[teich]
+            # conj(chi(beta)) * G shifts G's coefficients down by chi's exponent
+            cols = np.arange(m)
+            principal = np.array(self.gauss_sum_principal(chi).coeffs, dtype=np.int64)
+            closed[units] = principal[(cols + at_unit[units][:, None]) % m]
+            lambda_p = np.array(self.gauss_sum_lambda_p(chi).coeffs, dtype=np.int64)
+            closed[ideal] = lambda_p[(cols + at_xi[k[ideal]][:, None]) % m]
+        return values_from_rows(closed, m), values_from_rows(definition, m)
 
 
 # ---------------------------------------------------------------------------

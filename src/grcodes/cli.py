@@ -30,7 +30,7 @@ from .rings import (
     parse_element,
     parse_field_element,
 )
-from .verify import SUITES, VerificationReport
+from .verify import SUITES, VerificationReport, json_text
 
 CONFIG_KEYS = (
     "p", "r", "s", "sprime", "e", "d", "vbar", "modulus", "format", "output",
@@ -161,10 +161,6 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _kv_csv(rows: list[tuple[str, str, str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -197,7 +193,7 @@ def cmd_ring_info(cfg: RunConfig) -> int:
     if q <= 32:
         payload["teichmuller"] = [format_element(t) for t in ring.teichmuller_set()]
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     elif cfg.format == "csv":
         rows = [("ring", k, json.dumps(v)) for k, v in sorted(payload.items())]
         _emit(cfg, _kv_csv(rows))
@@ -219,13 +215,11 @@ def cmd_gauss(cfg: RunConfig) -> int:
     ring = _build_ring(cfg)
     system = CharacterSystem(ring)
 
-    def one_pair(chi, beta):
-        closed = system.gauss_sum_closed_form(chi, beta)
-        definition = system.gauss_sum_definition(chi, beta)
+    def record(chi_i, chi_b, beta, closed, definition):
         entry = {
-            "chi_i": chi[0],
-            "chi_b": format_element(chi[1]),
-            "beta": format_element(beta),
+            "chi_i": chi_i,
+            "chi_b": chi_b,
+            "beta": beta,
             "equal": closed == definition,
             "closed": repr(closed),
             "definition": repr(definition),
@@ -237,29 +231,38 @@ def cmd_gauss(cfg: RunConfig) -> int:
         return entry
 
     if cfg.sweep:
-        entries = [
-            one_pair(chi, beta)
-            for chi in system.all_mult_chars()
-            for beta in ring.elements()
-        ]
+        keep = cfg.full or cfg.dump_sums
+        betas = [format_element(beta) for beta in ring.elements()]
+        entries = []
+        pairs = 0
+        all_equal = True
+        for chi in system.all_mult_chars():
+            closed, definition = system.gauss_sum_rows(chi)
+            pairs += len(closed)
+            if keep:
+                chi_b = format_element(chi[1])
+                entries += [
+                    record(chi[0], chi_b, beta, c, d)
+                    for beta, c, d in zip(betas, closed, definition)
+                ]
+            all_equal = all_equal and closed == definition
         expected = ring.q * (ring.q - 1) * ring.q * ring.q
-        payload = {
-            "pairs": len(entries),
-            "pairs_expected": expected,
-            "all_equal": all(e["equal"] for e in entries),
-        }
-        if cfg.full or cfg.dump_sums:
+        payload = {"pairs": pairs, "pairs_expected": expected, "all_equal": all_equal}
+        if keep:
             payload["records"] = entries
-        ok = payload["all_equal"] and payload["pairs"] == expected
+        ok = all_equal and pairs == expected
     else:
         b = parse_element(ring, cfg.chi_b)
         if b.coeffs not in ring.teichmuller_log and not b.is_zero():
             raise GRCodesError(f"chi_b must be a Teichmuller element, got {cfg.chi_b!r}")
-        entry = one_pair((cfg.chi_i, b), parse_element(ring, cfg.beta))
-        payload = entry
-        ok = entry["equal"]
+        chi, beta = (cfg.chi_i, b), parse_element(ring, cfg.beta)
+        payload = record(
+            cfg.chi_i, format_element(b), format_element(beta),
+            system.gauss_sum_closed_form(chi, beta), system.gauss_sum_definition(chi, beta),
+        )
+        ok = payload["equal"]
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     else:
         verdict = "EQUAL" if ok else "DIFFER"
         if cfg.sweep:
@@ -300,7 +303,7 @@ def cmd_code_build(cfg: RunConfig) -> int:
     if ctx.sprime is not None:
         payload["vbar_perp_in_subfield"] = ctx.vperp_in_subfield
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     elif cfg.format == "csv":
         _emit(cfg, _kv_csv([("code", k, json.dumps(v)) for k, v in sorted(payload.items())]))
     else:
@@ -351,7 +354,7 @@ def cmd_code_weights(cfg: RunConfig) -> int:
             rows.append(row)
         payload["per_beta"] = rows
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     elif cfg.format == "csv":
         rows: list[tuple[str, str, str]] = []
         for w, count in sorted(table.hamming.items()):
@@ -411,7 +414,7 @@ def cmd_gray_map(cfg: RunConfig) -> int:
         "image": [format_field_element(field, a) for a in image],
     }
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     else:
         _emit(cfg, " ".join(payload["image"]) + "\n")
     return 0
@@ -431,7 +434,7 @@ def cmd_gray_analyze(cfg: RunConfig) -> int:
         "two_distance": report.two_distance,
     }
     if cfg.format == "json":
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, json_text(payload) + "\n")
     else:
         _emit(
             cfg,

@@ -8,7 +8,8 @@ cyclotomic polynomial; no floating point is involved anywhere on the
 verification path.  ``canonical_rows`` is the one reduction: it reduces
 whole arrays of group-algebra rows at once, through
 Phi_m(x) = Phi_rad(x^(m/rad)) with rad the product of the primes dividing m,
-and ``CyclotomicInteger.canonical`` is a one-row call of it.
+``CyclotomicInteger.canonical`` is a one-row call of it, and
+``values_from_rows`` reduces a block of rows into values at once.
 
 >>> z = CyclotomicInteger.zeta(4)
 >>> z * z == -1
@@ -324,3 +325,19 @@ class CyclotomicInteger:
                 terms.append(f"{c}*z^{k}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyc[{self.m}]({body})"
+
+
+def values_from_rows(rows: np.ndarray, m: int) -> list[CyclotomicInteger]:
+    """Group-algebra rows as values, all reduced by one ``canonical_rows`` call.
+
+    ``rows`` is a (values, m) integer array.  Each value keeps its row as its
+    coefficients and its reduced row as its canonical form, so ``==``,
+    ``repr`` and ``canonical`` reduce nothing further.
+    """
+    dtype = sum_dtype(m, int(np.abs(rows).sum(axis=1).max(initial=0)))
+    values = []
+    for row, can in zip(rows.tolist(), canonical_rows(rows.astype(dtype), m)):
+        value = CyclotomicInteger(m, row)
+        value._canonical = tuple(can)
+        values.append(value)
+    return values

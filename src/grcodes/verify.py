@@ -4,21 +4,111 @@ Every suite produces a VerificationReport whose records each carry a check
 id, an anchor naming the identity being exercised, the predicted value, the
 observed value, and an exact pass/fail verdict.  Reports are deterministic:
 sweeps run in one thread, in index order, so identical inputs give
-byte-identical serializations.
+byte-identical serializations.  ``json_text`` writes every JSON report,
+these and the CLI's.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .characters import CharacterSystem
 from .codes import CodeContext
 from .cyclotomic import exact_int
 from .gray import gray_image_analyze, theorem44_hom_weight, theorem45_table
 from .rings import GaloisRing, format_element
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# exact types whose JSON text is one call; subclasses take the isinstance route
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return '"' + _float_text(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + _LEAF_TEXT[type(key)](key) + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _put(value, newline: str, out, open_ids: set) -> None:
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        out(leaf(value))
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_float_text(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out("{}" if isinstance(value, dict) else "[]")
+            return
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        inner = newline + "  "
+        sep = inner
+        if isinstance(value, dict):
+            out("{")
+            for key, item in sorted(value.items()):
+                out(sep + _key_text(key) + ": ")
+                sep = "," + inner
+                _put(item, inner, out, open_ids)
+            out(newline + "}")
+        else:
+            kinds = set(map(type, value))
+            leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            if leaf is not None:  # leaves of one exact type: one join
+                out("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
+            else:
+                out("[")
+                for item in value:
+                    out(sep)
+                    sep = "," + inner
+                    _put(item, inner, out, open_ids)
+                out(newline + "]")
+        open_ids.remove(id(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, and its errors.
+
+    With ``indent`` set, Python 3.10-3.12 encode in pure Python, one
+    generator step per token; this writer appends each value's text to one
+    list instead.
+    """
+    parts: list[str] = []
+    _put(payload, "\n", parts.append, set())
+    return "".join(parts)
 
 
 @dataclass
@@ -70,7 +160,7 @@ class VerificationReport:
                 for r in self.records
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -108,10 +198,7 @@ def suite_gauss_equivalence(ring: GaloisRing, full: bool = False) -> Verificatio
     total_pairs = 0
     total_bad = 0
     for chi in system.all_mult_chars():
-        pairs = [
-            (beta, system.gauss_sum_closed_form(chi, beta), system.gauss_sum_definition(chi, beta))
-            for beta in betas
-        ]
+        pairs = list(zip(betas, *system.gauss_sum_rows(chi)))
         mismatches = [(beta, lhs, rhs) for beta, lhs, rhs in pairs if lhs != rhs]
         total_pairs += len(betas)
         total_bad += len(mismatches)

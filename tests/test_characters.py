@@ -246,3 +246,56 @@ def test_suite_21_full_records_each_pair_once(p, r):
             )
     assert report.to_json() == expected.to_json()
     assert report.all_ok
+
+
+_ROW_RINGS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("p, r", _ROW_RINGS)
+def test_gauss_sum_rows_match_the_scalar_routes(p, r):
+    ring = GaloisRing(p, r)
+    system = CharacterSystem(ring)
+    betas = list(ring.elements())
+    for chi in system.all_mult_chars():
+        closed, definition = system.gauss_sum_rows(chi)
+        assert len(closed) == len(definition) == len(betas)
+        for beta, row_closed, row_definition in zip(betas, closed, definition):
+            scalar_closed = system.gauss_sum_closed_form(chi, beta)
+            scalar_definition = system.gauss_sum_definition(chi, beta)
+            assert row_closed.canonical() == scalar_closed.canonical(), (chi, beta)
+            assert row_definition.canonical() == scalar_definition.canonical(), (chi, beta)
+            assert row_definition.coeffs == scalar_definition.coeffs, (chi, beta)
+
+
+@pytest.mark.parametrize("p, r", _ROW_RINGS)
+def test_trace_form_matches_the_scalar_trace(p, r):
+    ring = GaloisRing(p, r)
+    system = CharacterSystem(ring)
+    block = system._additive_block()
+    units = [x for x in ring.elements() if x.is_unit]
+    assert block.shape == (ring.q * ring.q, len(units))
+    scale = system.m // ring.p2
+    for beta in ring.elements():
+        expected = [ring.trace_to_prime(beta * x) * scale for x in units]
+        assert block[beta.code].tolist() == expected, beta
+
+
+def test_gauss_sum_rows_are_reduced_once(monkeypatch):
+    import grcodes.cyclotomic as cyc
+
+    calls = []
+    reduce_rows = cyc.canonical_rows
+
+    def counted(sums, m):
+        calls.append(len(sums))
+        return reduce_rows(sums, m)
+
+    monkeypatch.setattr(cyc, "canonical_rows", counted)
+    ring = GaloisRing(3, 2)
+    system = CharacterSystem(ring)
+    chi = (1, ring.xi)
+    closed, definition = system.gauss_sum_rows(chi)
+    assert calls == [81, 81]  # one call per route, one row per beta
+    assert closed == definition
+    texts = [repr(value) for value in closed + definition]
+    assert len(texts) == 162 and calls == [81, 81]  # == and repr reduce nothing further

@@ -62,6 +62,23 @@ def test_gauss_sweep_pair_count():
     assert payload["all_equal"] is True
 
 
+def test_gauss_sweep_builds_no_record_without_full(monkeypatch):
+    from grcodes.cyclotomic import CyclotomicInteger
+
+    approx_calls = []
+    approx = CyclotomicInteger.approx
+    monkeypatch.setattr(
+        CyclotomicInteger, "approx", lambda self: approx_calls.append(self) or approx(self)
+    )
+    status, out, _ = run_cli("gauss", "--sweep", "--p", "3", "--r", "2", "--format", "json")
+    assert status == 0
+    assert out == '{\n  "all_equal": true,\n  "pairs": 5832,\n  "pairs_expected": 5832\n}\n'
+    assert run_cli("gauss", "--sweep", "--p", "3", "--r", "2")[:2] == (
+        0, "5832 pairs checked, verdict EQUAL\n"
+    )
+    assert approx_calls == []
+
+
 def test_gauss_dump_sums():
     status, out, _ = run_cli(
         "gauss", "--p", "2", "--r", "1", "--chi-i", "0", "--chi-b", "1",

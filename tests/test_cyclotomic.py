@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grcodes
@@ -69,6 +70,24 @@ def test_each_value_is_reduced_once(monkeypatch):
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "Cyc[12](-2*z^1 + z^3)"
     assert not x.is_zero() and x.canonical_reduce() == x and x != 0
     assert len(rows) == 2 + 1 + 1  # x and y once each, then the reduced copy and the 0
+
+
+def test_values_from_rows_keep_both_forms(monkeypatch):
+    rng = random.Random("values-from-rows")
+    for m, bound in ((12, 5), (36, 2**40), (30, 2**61)):  # the last needs Python ints
+        rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(7)]
+        expected = [CyclotomicInteger(m, row).canonical() for row in rows]
+        calls = []
+        reduce_rows = cyc.canonical_rows
+        monkeypatch.setattr(
+            cyc, "canonical_rows", lambda sums, m: calls.append(m) or reduce_rows(sums, m)
+        )
+        values = cyc.values_from_rows(np.array(rows, dtype=np.int64), m)
+        assert [v.coeffs for v in values] == [tuple(row) for row in rows]
+        assert [v.canonical() for v in values] == expected
+        assert calls == [m]
+        monkeypatch.undo()
+    assert cyc.values_from_rows(np.zeros((0, 6), dtype=np.int64), 6) == []
 
 
 def test_as_rational_integer():
