@@ -187,12 +187,18 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are compared as whole byte strings, so they come back in byte
     order, not in numeric order.  ``np.unique(a, axis=0)`` gives the same
     set, but it sorts a structured view field by field, which is several
-    times slower on a whole symbol matrix.
+    times slower on a whole symbol matrix.  Only one sorted copy of the rows
+    is alive at a time: the distinct rows are read back from ``a``.
     """
     a = np.ascontiguousarray(a)
     rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    unique, counts = np.unique(rows, return_counts=True)
-    return unique.view(a.dtype).reshape(len(unique), a.shape[1]), counts
+    order = np.argsort(rows)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    starts = np.flatnonzero(first)
+    return a[order[starts]], np.diff(np.append(starts, len(rows)))
 
 
 def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
@@ -202,6 +208,59 @@ def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
     """
     offsets = np.arange(len(mat), dtype=np.int64)[:, None] * q2
     return np.bincount((offsets + mat).ravel(), minlength=len(mat) * q2).reshape(len(mat), q2)
+
+
+def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
+    """code(a * unit) for every element code a of the ring, by log arithmetic.
+
+    With unit = xi^k_u (1 + pT(v_u)), a unit xi^k (1 + pT(v)) goes to
+    xi^(k + k_u) (1 + pT(v + v_u)), p xi^k goes to p xi^(k + k_u), and 0
+    stays 0; each result is read back through the inverse of
+    ``ring.log_table()``.  Raises InvalidSubgroupError unless the map is a
+    bijection of the codes.
+    """
+    k, v = ring.log_table()
+    ku, vu = ring.unit_log(unit)
+    q, p = ring.q, ring.p
+    place = p ** np.arange(ring.r)
+    digits = (np.arange(q)[:, None] // place + vu // place) % p
+    plus_vu = digits @ place  # residue code v -> code of v + v_u
+    units, ideal = np.flatnonzero(v >= 0), np.flatnonzero((v < 0) & (k >= 0))
+    unit_code = np.full((q - 1, q), -1, dtype=np.int64)
+    unit_code[k[units], v[units]] = units
+    ideal_code = np.full(q - 1, -1, dtype=np.int64)
+    ideal_code[k[ideal]] = ideal
+    image = np.zeros(q * q, dtype=np.int64)
+    image[units] = unit_code[(k[units] + ku) % (q - 1), plus_vu[v[units]]]
+    image[ideal] = ideal_code[(k[ideal] + ku) % (q - 1)]
+    if not np.array_equal(np.sort(image), np.arange(q * q)):
+        raise InvalidSubgroupError(f"multiplication by {unit!r} does not permute the ring")
+    return image
+
+
+def permutation_orbits(perms, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the group that the permutations generate on 0..size-1.
+
+    Returns the orbit index of every point, the smallest point of each orbit
+    and the orbit sizes.  The orbits are the connected components of the
+    permutations' graph: each point keeps the smallest label it can read
+    across an edge, then jumps to its label's label, until nothing changes.
+    A label is always a point of the same component, so at the fixed point
+    every component carries its smallest point.
+    """
+    label = np.arange(size)
+    while True:
+        hooked = label.copy()
+        for perm in perms:
+            np.minimum(hooked, hooked[perm], out=hooked)
+            hooked[perm] = np.minimum(hooked[perm], hooked)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    reps = np.flatnonzero(label == np.arange(size))
+    index = np.searchsorted(reps, label)
+    return index, reps, np.bincount(index)
 
 
 def _int_array(values) -> np.ndarray:
@@ -286,6 +345,10 @@ class TildeCode:
     rep_indices: tuple[int, ...]
     l: int
     n_prime: int
+    # group element j is x_{rep_indices[coset[j]]} * h_j, and factor[j] is the
+    # small-ring code of h_j, an element of G meet R^*
+    coset: tuple[int, ...]
+    factor: tuple[int, ...]
 
 
 BETA_UNIT_S = "unit_S"
@@ -426,6 +489,19 @@ class CodeContext:
         else:  # G or G(1+M): the Teichmuller part is D itself
             tpart = self.f
         return gens, tpart * len(span)
+
+    def generator_action(self) -> list[np.ndarray]:
+        """code(beta) -> code(beta * g) for each generator g of G, by ``unit_action``."""
+        return self._cache(
+            "generator_action",
+            lambda: [unit_action(self.big, g) for g in self._subgroup_generators("G")[0]],
+        )
+
+    def beta_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orbits beta G: orbit index of every beta code, smallest code of each, sizes."""
+        return self._cache(
+            "beta_orbits", lambda: permutation_orbits(self.generator_action(), self.Q * self.Q)
+        )
 
     def chars_mod_G(self):
         return self._cache(
@@ -796,9 +872,11 @@ class CodeContext:
         homogeneous = {w: c for w, c in enumerate(hom_tally.tolist()) if c}
         rows, multiplicity = distinct_rows(counts)
         complete = {tuple(row): count for row, count in zip(rows.tolist(), multiplicity.tolist())}
+        # c_beta is additive in beta, so |C| = Q^2 / |K| for the kernel K = {beta : c_beta = 0}
+        kernel = int(np.count_nonzero(counts[:, 0] == self.n))
         return WeightTable(
             n=self.n,
-            size=len(distinct_rows(self.symbol_matrix())[0]),
+            size=exact_int(Fraction(self.Q * self.Q, kernel), "code size"),
             hamming=hamming,
             complete=complete,
             homogeneous=homogeneous,
@@ -942,19 +1020,22 @@ class CodeContext:
                 for idx, x in enumerate(self.group_elements)
                 if self.tower.fixed_by_frobenius(x)
             ]
-            stab = {self.group_elements[i].coeffs for i in fixed}
-            l = len(stab)
-            assigned: set[tuple[int, ...]] = set()
+            factors = [self.tower.project(self.group_elements[i]).code for i in fixed]
+            index = {x.coeffs: i for i, x in enumerate(self.group_elements)}
+            coset, factor = [-1] * self.n, [0] * self.n
             reps: list[int] = []
             for idx, x in enumerate(self.group_elements):
-                if x.coeffs in assigned:
+                if coset[idx] >= 0:
                     continue
                 reps.append(idx)
-                for g_idx in fixed:
-                    assigned.add((x * self.group_elements[g_idx]).coeffs)
-            if len(reps) * l != self.n:
+                for g_idx, h in zip(fixed, factors):
+                    j = index.get((x * self.group_elements[g_idx]).coeffs)
+                    if j is None or coset[j] >= 0:
+                        raise InvalidSubgroupError("cosets do not partition the group")
+                    coset[j], factor[j] = len(reps) - 1, h
+            if len(reps) * len(fixed) != self.n:
                 raise InvalidSubgroupError("cosets do not partition the group")
-            return TildeCode(tuple(reps), l, len(reps))
+            return TildeCode(tuple(reps), len(fixed), len(reps), tuple(coset), tuple(factor))
         return self._cache("tilde", build)
 
     def encode_tilde(self, beta: GaloisRingElement):

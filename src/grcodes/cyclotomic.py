@@ -73,6 +73,12 @@ def _divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _roots_of_unity(m: int) -> tuple[complex, ...]:
+    """exp(2 pi i k / m) for 0 <= k < m, as floats."""
+    return tuple(cmath.exp(2j * cmath.pi * k / m) for k in range(m))
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Little-endian integer coefficients of the m-th cyclotomic polynomial.
 
@@ -295,11 +301,8 @@ class CyclotomicInteger:
 
     def approx(self) -> complex:
         """Floating-point evaluation, for display only; never used for checks."""
-        return sum(
-            c * cmath.exp(2j * cmath.pi * k / self.m)
-            for k, c in enumerate(self.coeffs)
-            if c
-        )
+        roots = _roots_of_unity(self.m)
+        return sum(c * roots[k] for k, c in enumerate(self.coeffs) if c)
 
     # -- comparisons ----------------------------------------------------
 

@@ -641,6 +641,57 @@ def test_distinct_rows_counts_each_row_once():
     ]
 
 
+@pytest.mark.parametrize("args, kwargs, kernel", [
+    ((2, 1, 2), dict(e=3, d=1), 4),
+    ((2, 1, 3), dict(e=7, d=0), 16),
+    ((2, 1, 3), dict(e=7, d=2), 8),
+    ((2, 1, 2), dict(e=1, d=2, sprime=1), 1),
+    ((3, 1, 2), dict(e=1, d=1), 1),
+])
+def test_code_size_is_read_from_the_kernel(args, kwargs, kernel):
+    ctx = build_code(*args, **kwargs)
+    size = ctx.hamming_distribution().size
+    assert size == len(codes.distinct_rows(ctx.symbol_matrix())[0])
+    assert size * kernel == ctx.Q * ctx.Q
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_unit_action_matches_ring_products(p, r):
+    ring = GaloisRing(p, r)
+    for unit in [x for x in ring.elements() if x.is_unit][:6]:
+        assert codes.unit_action(ring, unit).tolist() == [(x * unit).code for x in ring.elements()]
+
+
+def test_unit_action_refuses_a_map_that_is_not_a_bijection(monkeypatch):
+    ring = GaloisRing(2, 2)
+    k, v = (table.copy() for table in ring.log_table())
+    units = np.flatnonzero(v >= 0)
+    k[units[1]], v[units[1]] = k[units[0]], v[units[0]]  # two codes share one log
+    monkeypatch.setattr(ring, "log_table", lambda: (k, v))
+    with pytest.raises(InvalidSubgroupError, match="does not permute"):
+        codes.unit_action(ring, ring.one)
+
+
+def _orbit_oracle(ctx) -> list[frozenset[int]]:
+    """The orbits beta G, by one ring product per (beta, g)."""
+    orbits = {frozenset((beta * g).code for g in ctx.group_elements) for beta in ctx.big.elements()}
+    return sorted(orbits, key=min)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((2, 1, 3), dict(e=1, d=1)),  # cycles of length 7 under xi
+    ((3, 1, 2), dict(e=2, d=1)),
+])
+def test_beta_orbits_match_the_orbit_sets(args, kwargs):
+    ctx = build_code(*args, **kwargs)
+    index, reps, sizes = ctx.beta_orbits()
+    assert sizes.sum() == ctx.Q * ctx.Q
+    found = [frozenset(np.flatnonzero(index == i).tolist()) for i in range(len(reps))]
+    assert found == _orbit_oracle(ctx)
+    assert reps.tolist() == [min(orbit) for orbit in found]
+    assert sizes.tolist() == [len(orbit) for orbit in found]
+
+
 @pytest.mark.parametrize("args, kwargs", [
     ((2, 3, 2), dict(e=1, d=3, sprime=1)),  # n = 504
     ((3, 1, 3), dict(e=2, d=2, sprime=1)),  # n = 117

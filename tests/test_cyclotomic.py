@@ -1,3 +1,4 @@
+import cmath
 import doctest
 import os
 import random
@@ -88,6 +89,15 @@ def test_values_from_rows_keep_both_forms(monkeypatch):
         assert calls == [m]
         monkeypatch.undo()
     assert cyc.values_from_rows(np.zeros((0, 6), dtype=np.int64), 6) == []
+
+
+def test_approx_gives_the_floats_of_a_fresh_exp_per_term():
+    rng = random.Random(7)
+    for m in (1, 2, 6, 7, 12, 49, 60):
+        for _ in range(5):
+            coeffs = [rng.choice([0, 0, 1, -1, 3]) for _ in range(m)]
+            fresh = sum(c * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(coeffs) if c)
+            assert CyclotomicInteger(m, coeffs).approx() == fresh  # bit for bit
 
 
 def test_as_rational_integer():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from grcodes import gray as gray_module
 from grcodes.codes import build_code
-from grcodes.errors import PreconditionViolatedError
+from grcodes.errors import InvalidSubgroupError, PreconditionViolatedError
 from grcodes.gray import (
     _gray_matrix,
     first_order_rm_code,
@@ -11,7 +12,6 @@ from grcodes.gray import (
     gray_map_vec,
     hom_weight,
     hom_weight_vec,
-    pair_distances,
     theorem44_hom_weight,
     theorem45_table,
 )
@@ -138,6 +138,19 @@ def test_gray_images_degree_two():
     assert report.all_match
 
 
+def pair_distances(gray: np.ndarray) -> dict[int, int]:
+    """Multiset of Hamming distances over all unordered pairs of rows, by enumeration.
+
+    Each row is compared with every later row; the distances of one row are
+    counted into a single tally of length (row length + 1).
+    """
+    tally = np.zeros(gray.shape[1] + 1, dtype=np.int64)
+    for i in range(gray.shape[0] - 1):
+        diffs = np.count_nonzero(gray[i + 1:] != gray[i], axis=1)
+        tally += np.bincount(diffs, minlength=len(tally))
+    return {int(dist): int(count) for dist, count in enumerate(tally.tolist()) if count}
+
+
 def _pair_distances_oracle(gray) -> dict[int, int]:
     """The pairwise distance multiset by one np.unique per row, over int64 rows."""
     gray = gray.astype(np.int64)
@@ -154,6 +167,19 @@ def _pair_distances_oracle(gray) -> dict[int, int]:
     ((2, 2, 2), dict(e=1, d=3, sprime=1), "Ctilde"),
     ((3, 1, 3), dict(e=2, d=2, sprime=1), "Ctilde"),  # q = 3
     ((5, 1, 2), dict(e=4, d=1), "C"),
+    ((2, 1, 2), dict(e=1, d=2, sprime=1), "Ctilde"),  # G meet R^* has order 2
+    ((3, 1, 2), dict(e=1, d=1), "C"),  # q = 3
+    ((3, 1, 2), dict(e=1, d=1), "Ctilde"),
+    ((3, 1, 3), dict(e=2, d=2, sprime=1), "C"),
+    ((2, 2, 2), dict(e=3, d=1), "C"),  # q = 4
+    ((2, 2, 2), dict(e=3, d=1), "Ctilde"),
+    ((5, 1, 2), dict(e=3, d=0), "Ctilde"),
+    ((2, 1, 2), dict(e=3, d=1), "C"),  # kernel of size 4
+    ((2, 1, 2), dict(e=3, d=1), "Ctilde"),
+    ((2, 1, 3), dict(e=7, d=0), "C"),  # kernel of size 16
+    ((2, 1, 3), dict(e=7, d=0), "Ctilde"),
+    ((2, 1, 3), dict(e=7, d=2), "C"),  # kernel of size 8
+    ((2, 1, 3), dict(e=7, d=2), "Ctilde"),
 ])
 def test_pair_distances_match_the_per_row_oracle(args, kwargs, which):
     ctx = build_code(*args, **kwargs)
@@ -175,3 +201,24 @@ def test_one_flipped_gray_symbol_changes_the_distances():
     gray[5, 7] = (gray[5, 7] + 1) % ctx.q
     after = pair_distances(gray)
     assert after != before and after == _pair_distances_oracle(gray)
+
+
+@pytest.mark.parametrize("which", ["C", "Ctilde"])
+def test_a_flipped_symbol_fails_the_symmetry_check(which, monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
+    assert ctx.build_tilde_code().l == 2  # so Ctilde's check multiplies by h_i != 1
+    name = "symbol_matrix" if which == "C" else "tilde_symbol_matrix"
+    mat = getattr(ctx, name)().copy()
+    mat[5, 3] = (mat[5, 3] + 1) % (ctx.q * ctx.q)
+    monkeypatch.setattr(ctx, name, lambda: mat)
+    with pytest.raises(InvalidSubgroupError, match="Gray isometry"):
+        gray_image_analyze(ctx, which)
+
+
+def test_a_gray_table_that_h_does_not_preserve_fails_the_check(monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
+    table = gray_module._gray_table(ctx).copy()
+    table[1] = table[0]  # the images of 0 and 1 now coincide
+    monkeypatch.setattr(gray_module, "_gray_table", lambda ctx: table)
+    with pytest.raises(InvalidSubgroupError, match="Gray isometry"):
+        gray_image_analyze(ctx, "Ctilde")
