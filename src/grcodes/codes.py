@@ -43,6 +43,9 @@ from .rings import (
 )
 
 
+TALLY_BLOCK_BYTES = 4 << 20  # the int64 temporaries of one row block of tally_rows
+
+
 # ---------------------------------------------------------------------------
 # F_p-linear algebra on field elements
 # ---------------------------------------------------------------------------
@@ -154,27 +157,29 @@ def canonical_subspace_basis(
 def check_generated_group(elements, generators) -> None:
     """Raise unless `elements` is exactly the subgroup the generators generate.
 
-    A breadth-first walk from 1 multiplies each reached element by each
-    generator, len(elements) * len(generators) ring products in all.  The
-    reached set is the monoid the generators generate, which in a finite
-    group is the subgroup; it must stay inside `elements` and exhaust it.
+    The set must hold 1, each generator must map it into itself, and the generator maps
+    must join it into one orbit: the orbit of 1 is the generated monoid, so the subgroup.
     """
-    members = {x.coeffs for x in elements}
-    one = elements[0].ring.one if elements else None
-    if one is None or one.coeffs not in members:
+    if not elements or elements[0].ring.one not in elements:
         raise InvalidSubgroupError("G is not closed under multiplication")
-    reached = {one.coeffs}
-    queue = [one]
-    for x in queue:  # the queue grows while it is walked
-        for g in generators:
-            y = x * g
-            if y.coeffs not in members:
-                raise InvalidSubgroupError("G is not closed under multiplication")
-            if y.coeffs not in reached:
-                reached.add(y.coeffs)
-                queue.append(y)
-    if len(reached) != len(members):
+    maps = _moved(elements, generators)
+    if (maps < 0).any() or len(permutation_orbits(maps, len(elements))[1]) != 1:
         raise InvalidSubgroupError("G is not closed under multiplication")
+
+
+def _product_codes(ring: GaloisRing, coeffs: np.ndarray, u: GaloisRingElement) -> np.ndarray:
+    """code(x * u) for every coefficient row x of ``coeffs``: one matrix product."""
+    return coeffs @ ring.mul_matrix(u) % ring.p2 @ ring.p2 ** np.arange(ring.r)
+
+
+def _moved(elements, multipliers) -> np.ndarray:
+    """[i, j]: the index in ``elements`` of elements[j] * multipliers[i], or -1 outside them."""
+    ring = elements[0].ring
+    coeffs = np.array([x.coeffs for x in elements], dtype=np.int64)
+    position = np.full(ring.q * ring.q, -1, dtype=np.int64)
+    position[[x.code for x in elements]] = np.arange(len(elements))
+    moved = [position[_product_codes(ring, coeffs, u)] for u in multipliers]
+    return np.array(moved, dtype=np.int64).reshape(len(multipliers), len(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -204,36 +209,29 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
     """(rows, q2) array: how often each symbol code below q2 occurs in each row.
 
-    Every row is tallied in one ``np.bincount``, with row i offset by i * q2.
+    Rows are tallied in blocks, one ``np.bincount`` per block with row i
+    offset by i * q2, so no second array of the matrix's shape is built: a
+    block's offset rows and its tally take about TALLY_BLOCK_BYTES together.
     """
-    offsets = np.arange(len(mat), dtype=np.int64)[:, None] * q2
-    return np.bincount((offsets + mat).ravel(), minlength=len(mat) * q2).reshape(len(mat), q2)
+    step = max(1, TALLY_BLOCK_BYTES // (8 * (mat.shape[1] + q2)))
+    offsets = np.arange(min(step, len(mat)), dtype=np.int64)[:, None] * q2
+    counts = np.empty((len(mat), q2), dtype=np.int64)
+    for start in range(0, len(mat), step):
+        block = offsets[:len(mat) - start] + mat[start:start + step]
+        tally = np.bincount(block.ravel(), minlength=len(block) * q2)
+        counts[start:start + step] = tally.reshape(len(block), q2)
+    return counts
 
 
 def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
-    """code(a * unit) for every element code a of the ring, by log arithmetic.
+    """code(a * unit) for every element code a of the ring, by one matrix product.
 
-    With unit = xi^k_u (1 + pT(v_u)), a unit xi^k (1 + pT(v)) goes to
-    xi^(k + k_u) (1 + pT(v + v_u)), p xi^k goes to p xi^(k + k_u), and 0
-    stays 0; each result is read back through the inverse of
-    ``ring.log_table()``.  Raises InvalidSubgroupError unless the map is a
-    bijection of the codes.
+    Raises InvalidSubgroupError unless the map is a bijection of the codes.
     """
-    k, v = ring.log_table()
-    ku, vu = ring.unit_log(unit)
-    q, p = ring.q, ring.p
-    place = p ** np.arange(ring.r)
-    digits = (np.arange(q)[:, None] // place + vu // place) % p
-    plus_vu = digits @ place  # residue code v -> code of v + v_u
-    units, ideal = np.flatnonzero(v >= 0), np.flatnonzero((v < 0) & (k >= 0))
-    unit_code = np.full((q - 1, q), -1, dtype=np.int64)
-    unit_code[k[units], v[units]] = units
-    ideal_code = np.full(q - 1, -1, dtype=np.int64)
-    ideal_code[k[ideal]] = ideal
-    image = np.zeros(q * q, dtype=np.int64)
-    image[units] = unit_code[(k[units] + ku) % (q - 1), plus_vu[v[units]]]
-    image[ideal] = ideal_code[(k[ideal] + ku) % (q - 1)]
-    if not np.array_equal(np.sort(image), np.arange(q * q)):
+    size = ring.q * ring.q
+    digits = np.arange(size)[:, None] // ring.p2 ** np.arange(ring.r) % ring.p2
+    image = _product_codes(ring, digits, unit)
+    if (np.bincount(image, minlength=size) != 1).any():
         raise InvalidSubgroupError(f"multiplication by {unit!r} does not permute the ring")
     return image
 
@@ -258,9 +256,9 @@ def permutation_orbits(perms, size: int) -> tuple[np.ndarray, np.ndarray, np.nda
         if np.array_equal(hooked, label):
             break
         label = hooked
-    reps = np.flatnonzero(label == np.arange(size))
-    index = np.searchsorted(reps, label)
-    return index, reps, np.bincount(index)
+    is_rep = label == np.arange(size)
+    index = (np.cumsum(is_rep) - 1)[label]  # the rank of each point's label among the reps
+    return index, np.flatnonzero(is_rep), np.bincount(index)
 
 
 def _int_array(values) -> np.ndarray:
@@ -666,8 +664,12 @@ class CodeContext:
     # -- encoding and direct counting ----------------------------------------
 
     def encode(self, beta: GaloisRingElement):
-        """The codeword c_beta: relative traces of beta * x over the group."""
-        return tuple(self.tower.trace(beta * x) for x in self.group_elements)
+        """The codeword c_beta, T(beta * x) over G, with beta * x read from ``mul_matrix(beta)``."""
+        p2 = self.p * self.p
+        coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
+        trace = np.array(self.tower.trace_matrix, dtype=np.int64)
+        rows = coeffs @ self.big.mul_matrix(beta) % p2 @ trace.T % p2
+        return tuple(GaloisRingElement(self.small, row) for row in rows.tolist())
 
     def count_components(self, beta: GaloisRingElement) -> dict[int, int]:
         """Direct tally N_beta(a) for every a in the small ring, by element code."""
@@ -1013,36 +1015,28 @@ class CodeContext:
     # -- the coset-punctured code ------------------------------------------------
 
     def build_tilde_code(self) -> TildeCode:
-        """Coset representatives of G meet R^* in G, canonically smallest first."""
+        """Coset representatives of G meet R^* in G, canonically smallest first.
+
+        Column j of ``moved`` lists the coset x_j (G meet R^*), so its smallest entry is the
+        coset's representative; the cosets of the representatives must partition G.
+        """
         def build():
-            fixed = [
-                idx
-                for idx, x in enumerate(self.group_elements)
-                if self.tower.fixed_by_frobenius(x)
-            ]
-            factors = [self.tower.project(self.group_elements[i]).code for i in fixed]
-            index = {x.coeffs: i for i, x in enumerate(self.group_elements)}
-            coset, factor = [-1] * self.n, [0] * self.n
-            reps: list[int] = []
-            for idx, x in enumerate(self.group_elements):
-                if coset[idx] >= 0:
-                    continue
-                reps.append(idx)
-                for g_idx, h in zip(fixed, factors):
-                    j = index.get((x * self.group_elements[g_idx]).coeffs)
-                    if j is None or coset[j] >= 0:
-                        raise InvalidSubgroupError("cosets do not partition the group")
-                    coset[j], factor[j] = len(reps) - 1, h
-            if len(reps) * len(fixed) != self.n:
+            stabilizer = [x for x in self.group_elements if self.tower.fixed_by_frobenius(x)]
+            moved = _moved(self.group_elements, stabilizer)
+            reps = np.flatnonzero(moved.min(axis=0) == np.arange(self.n))
+            block = moved[:, reps]  # block[i, c] is the index of x_{reps[c]} h_i
+            if (moved < 0).any() or (np.bincount(block.ravel(), minlength=self.n) != 1).any():
                 raise InvalidSubgroupError("cosets do not partition the group")
-            return TildeCode(tuple(reps), len(fixed), len(reps), tuple(coset), tuple(factor))
+            coset, factor = np.empty((2, self.n), dtype=np.int64)
+            coset[block] = np.arange(len(reps))
+            factor[block] = np.array([self.tower.project(h).code for h in stabilizer])[:, None]
+            reps, coset, factor = (tuple(a.tolist()) for a in (reps, coset, factor))
+            return TildeCode(reps, len(stabilizer), len(reps), coset, factor)
         return self._cache("tilde", build)
 
     def encode_tilde(self, beta: GaloisRingElement):
-        tilde = self.build_tilde_code()
-        return tuple(
-            self.tower.trace(beta * self.group_elements[i]) for i in tilde.rep_indices
-        )
+        word = self.encode(beta)
+        return tuple(word[i] for i in self.build_tilde_code().rep_indices)
 
     def tilde_symbol_matrix(self) -> np.ndarray:
         tilde = self.build_tilde_code()

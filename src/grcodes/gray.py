@@ -181,7 +181,7 @@ def _check_symmetry(ctx: CodeContext, which: str, mat: np.ndarray) -> None:
             raise InvalidSubgroupError("a generator of G moves a coordinate out of G")
         pi, h = coset[j], factor[j]
         image = rows[perm]
-        for unit in np.unique(h).tolist():
+        for unit in sorted(set(h.tolist())):  # np.unique would import numpy.ma
             times = unit_action(ctx.small, ctx.small.from_code(unit))
             cols = np.flatnonzero(h == unit)
             if not (

@@ -660,6 +660,10 @@ class GaloisRing:
         """Trace down to Z_{p^2}, as an integer 0 <= t < p^2: one dot product."""
         return sum(map(operator.mul, self.trace_vector, a.coeffs)) % self.p2
 
+    def mul_matrix(self, u: GaloisRingElement) -> np.ndarray:
+        """Matrix of a -> a * u on coefficient rows: row j is xi^j * u, from r ring products."""
+        return np.array([(b * u).coeffs for b in self.xi_powers[:self.r]], dtype=np.int64)
+
     def __repr__(self):
         return f"GR({self.p}^2,{self.r})"
 

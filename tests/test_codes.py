@@ -175,7 +175,7 @@ def test_generator_check_rejects_a_set_without_one(ctx_e3):
     with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
         check_generated_group([], _g_generators(ctx_e3))
     with pytest.raises(InvalidSubgroupError, match=NOT_CLOSED):
-        check_generated_group([ctx_e3.big.xi], [])  # no generators: the walk never leaves 1
+        check_generated_group([ctx_e3.big.xi], [])  # one orbit, but without 1
 
 
 def test_canonical_subspace_requires_room():
@@ -387,6 +387,51 @@ def test_tilde_trivial_stabilizer():
     ctx = build_code(2, 1, 2, e=3, d=0)  # G = {1}
     tilde = ctx.build_tilde_code()
     assert tilde.l == 1 and tilde.n_prime == ctx.n
+
+
+def _tilde_oracle(ctx) -> codes.TildeCode:
+    """The coset loop, one ring product per group element, kept as the oracle."""
+    fixed = [i for i, x in enumerate(ctx.group_elements) if ctx.tower.fixed_by_frobenius(x)]
+    factors = [ctx.tower.project(ctx.group_elements[i]).code for i in fixed]
+    index = {x.coeffs: i for i, x in enumerate(ctx.group_elements)}
+    coset, factor = [-1] * ctx.n, [0] * ctx.n
+    reps: list[int] = []
+    for idx, x in enumerate(ctx.group_elements):
+        if coset[idx] >= 0:
+            continue
+        reps.append(idx)
+        for g_idx, h in zip(fixed, factors):
+            j = index[(x * ctx.group_elements[g_idx]).coeffs]
+            assert coset[j] < 0, "cosets overlap"
+            coset[j], factor[j] = len(reps) - 1, h
+    assert len(reps) * len(fixed) == ctx.n
+    return codes.TildeCode(tuple(reps), len(fixed), len(reps), tuple(coset), tuple(factor))
+
+
+@pytest.mark.parametrize("args, kwargs, l", [
+    ((2, 1, 2), dict(e=3, d=0), 1),
+    ((2, 1, 3), dict(e=1, d=0), 1),
+    ((2, 1, 2), dict(e=1, d=2, sprime=1), 2),
+    ((2, 2, 2), dict(e=3, d=1), 2),
+    ((5, 1, 2), dict(e=4, d=1), 10),
+    ((3, 1, 3), dict(e=2, d=2, sprime=1), 3),  # n = 117
+    ((2, 3, 2), dict(e=1, d=3, sprime=1), 56),  # n = 504
+])
+def test_tilde_code_matches_the_coset_loop(args, kwargs, l):
+    ctx = build_code(*args, **kwargs)
+    tilde = ctx.build_tilde_code()
+    assert tilde == _tilde_oracle(ctx)
+    assert tilde.l == l
+    fields = (tilde.rep_indices, tilde.coset, tilde.factor)
+    assert all(type(v) is int for values in fields for v in values)
+
+
+def test_tilde_code_refuses_overlapping_cosets(monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
+    one, xi = ctx.big.one, ctx.big.xi  # {1, xi} is not a subgroup: xi has order 3
+    monkeypatch.setattr(ctx.tower, "fixed_by_frobenius", lambda x: x in (one, xi))
+    with pytest.raises(InvalidSubgroupError, match="cosets do not partition"):
+        ctx.build_tilde_code()
 
 
 # -- a base ring of degree two, so the formulas see q = 4 ---------------------------
@@ -610,6 +655,20 @@ def test_symbol_matrix_matches_encode_on_every_beta(name):
         assert mat[beta.code].tolist() == [sym.code for sym in ctx.encode(beta)], (ctx, beta)
 
 
+def _encode_oracle(ctx, beta):
+    """The element-wise encoder, one ring product and one trace per group element."""
+    return tuple(ctx.tower.trace(beta * x) for x in ctx.group_elements)
+
+
+@pytest.mark.parametrize("name", list(_FIXED_CODES))  # p = 2 and 5, r = 1 and 3
+def test_encode_matches_the_element_wise_encoder(name):
+    ctx = _oracle_code(name)
+    for beta in ctx.big.elements():
+        assert ctx.encode(beta) == _encode_oracle(ctx, beta), (ctx, beta)
+    with pytest.raises(ValueError, match="different rings"):
+        ctx.encode(GaloisRing(ctx.p, ctx.r * ctx.s).one)
+
+
 @pytest.mark.parametrize("name", _ORACLE_CODES)
 def test_quotient_characters_match_the_scan(name):
     ctx = _oracle_code(name)
@@ -662,14 +721,11 @@ def test_unit_action_matches_ring_products(p, r):
         assert codes.unit_action(ring, unit).tolist() == [(x * unit).code for x in ring.elements()]
 
 
-def test_unit_action_refuses_a_map_that_is_not_a_bijection(monkeypatch):
+def test_unit_action_refuses_a_map_that_is_not_a_bijection():
     ring = GaloisRing(2, 2)
-    k, v = (table.copy() for table in ring.log_table())
-    units = np.flatnonzero(v >= 0)
-    k[units[1]], v[units[1]] = k[units[0]], v[units[0]]  # two codes share one log
-    monkeypatch.setattr(ring, "log_table", lambda: (k, v))
-    with pytest.raises(InvalidSubgroupError, match="does not permute"):
-        codes.unit_action(ring, ring.one)
+    for non_unit in (ring.one * ring.p, ring.zero):
+        with pytest.raises(InvalidSubgroupError, match="does not permute"):
+            codes.unit_action(ring, non_unit)
 
 
 def _orbit_oracle(ctx) -> list[frozenset[int]]:
@@ -725,6 +781,19 @@ def test_suite_31_full_tallies_match_count_components(name):
 
 
 # -- the one count table and the tables read from it ------------------------------
+
+def test_tally_rows_in_blocks_matches_one_bincount(monkeypatch):
+    # every row holds 5 symbols, so a block left untallied cannot read as zeros
+    mat = np.random.default_rng(1).integers(0, 9, size=(23, 5))
+    offsets = np.arange(len(mat))[:, None] * 9
+    expected = np.bincount((offsets + mat).ravel(), minlength=len(mat) * 9).reshape(-1, 9)
+    tallies = []  # all kept alive, so no tally can reuse the buffer of a correct one
+    for budget in (8 * (5 + 9) * 4, 1):  # 5 blocks of 4 rows and one of 3; one-row blocks
+        monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", budget)
+        tallies.append(codes.tally_rows(mat, 9))
+    for tally in tallies:
+        assert tally.dtype == np.int64 and np.array_equal(tally, expected)
+
 
 def test_tally_rows_counts_each_symbol_of_each_row():
     mat = np.array([[0, 3, 3, 1], [2, 2, 2, 2], [3, 0, 1, 0]], dtype=np.int64)

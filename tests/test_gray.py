@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grcodes
 from grcodes import gray as gray_module
 from grcodes.codes import build_code
 from grcodes.errors import InvalidSubgroupError, PreconditionViolatedError
@@ -222,3 +228,25 @@ def test_a_gray_table_that_h_does_not_preserve_fails_the_check(monkeypatch):
     monkeypatch.setattr(gray_module, "_gray_table", lambda ctx: table)
     with pytest.raises(InvalidSubgroupError, match="Gray isometry"):
         gray_image_analyze(ctx, "Ctilde")
+
+
+def test_gray_jobs_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 15 ms and 1 MiB in a job that has no use for it
+    script = (
+        "import contextlib, io, sys\n"
+        "from grcodes.cli import main\n"
+        "code = ['--p', '2', '--r', '1', '--s', '2', '--sprime', '1', '--e', '1', '--d', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['gray', 'analyze', '--which', 'C'], ['gray', 'analyze', '--which',\n"
+        "                 'Ctilde'], ['code', 'verify', '--theorem', '4.6']):\n"
+        "        if main(argv + code) != 0:\n"
+        "            raise SystemExit(f'{argv} failed')\n"
+        "raise SystemExit(3 if 'numpy.ma' in sys.modules else 0)\n"
+    )
+    src = str(Path(grcodes.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

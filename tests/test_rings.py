@@ -247,6 +247,23 @@ def test_log_table_matches_unit_decompose(p, r):
             assert ring.xi_powers[k[x.code]] * p == x
 
 
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 1), (2, 3)])
+def test_mul_matrix_matches_scalar_products(p, r):
+    ring = GaloisRing(p, r)
+    elements = list(ring.elements())
+    for u in elements:  # units, p * xi^k and 0 alike
+        matrix = ring.mul_matrix(u)
+        assert matrix.shape == (r, r)
+        for x in elements:
+            row = [sum(c * m for c, m in zip(x.coeffs, col)) % ring.p2 for col in zip(*matrix)]
+            assert tuple(row) == (x * u).coeffs, (x, u)
+
+
+def test_mul_matrix_refuses_an_element_of_another_ring():
+    with pytest.raises(ValueError, match="different rings"):
+        GaloisRing(2, 2).mul_matrix(GaloisRing(2, 2).one)
+
+
 def test_log_table_rejects_a_bad_xi_table():
     ring = GaloisRing(2, 3)
     ring.xi_powers = ring.xi_powers[:1] * len(ring.xi_powers)  # every power set to 1
