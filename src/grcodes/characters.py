@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, values_from_rows
-from .errors import InvalidSubgroupError, InvalidTowerError, NotAUnitError
-from .rings import FiniteField, GaloisRing, GaloisRingElement
+from .errors import InvalidSubgroupError, NotAUnitError
+from .rings import FiniteField, GaloisRing, GaloisRingElement, linear_span
 
 
 def gauss_sum_field(field: FiniteField, i: int, m: int) -> CyclotomicInteger:
@@ -150,25 +150,17 @@ class CharacterSystem:
     def _additive_block(self) -> np.ndarray:
         """Exponent of lambda_beta at every unit x: a (q^2, q(q-1)) array, both in code order.
 
-        Tr(beta x) = digits(beta) H digits(x)^T with the trace form
-        H[i][j] = Tr(xi^(i+j)); H is checked against the scalar trace of the
-        basis products when it is built.
+        Tr(beta x) is Z_{p^2}-linear in each factor.  The span of the r^2
+        scalar traces Tr(xi^i xi^j) gives Tr(x xi^j) for every x; the span of
+        its unit rows, transposed, gives Tr(beta x) for every beta.
         """
         if self._add_block is None:
             ring = self.ring
-            r, p2, q = ring.r, ring.p2, ring.q
-            xi = np.array([x.coeffs for x in ring.xi_powers], dtype=np.int64)
-            traces = xi[np.arange(2 * r - 1) % (q - 1)] @ np.array(ring.trace_vector) % p2
-            form = traces[np.add.outer(np.arange(r), np.arange(r))]  # Tr(xi^(i+j))
-            basis = ring.xi_powers[:r]
-            for i, j in np.ndindex(r, r):
-                if form[i, j] != ring.trace_to_prime(basis[i] * basis[j]):
-                    raise InvalidTowerError(
-                        f"trace form disagrees with the scalar trace at xi^{i} xi^{j}"
-                    )
-            digits = np.arange(q * q)[:, None] // p2 ** np.arange(r) % p2  # (q^2, r)
-            units = digits[ring.log_table()[1] >= 0]
-            self._add_block = (digits @ form @ units.T % p2) * self._scale_p2
+            basis = ring.xi_powers[:ring.r]
+            seed = np.array([[ring.trace_to_prime(a * b) for b in basis] for a in basis])
+            at_basis = linear_span(seed, ring.p2)[ring.log_table()[1] >= 0]  # Tr(x xi^j), x a unit
+            traces = linear_span(at_basis.T, ring.p2).astype(np.min_scalar_type(self.m - 1))
+            self._add_block = traces * self._scale_p2
         return self._add_block
 
     # -- Gauss sums, closed-form route -----------------------------------------

@@ -39,11 +39,12 @@ from .rings import (
     GaloisRing,
     GaloisRingElement,
     RingTower,
+    linear_span,
     rref_mod,
 )
 
 
-TALLY_BLOCK_BYTES = 4 << 20  # the int64 temporaries of one row block of tally_rows
+TALLY_BLOCK_BYTES = 4 << 20  # one row block of tally_rows (int64 temporaries) or symbol_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,13 @@ def check_generated_group(elements, generators) -> None:
         raise InvalidSubgroupError("G is not closed under multiplication")
 
 
-def _product_codes(ring: GaloisRing, coeffs: np.ndarray, u: GaloisRingElement) -> np.ndarray:
-    """code(x * u) for every coefficient row x of ``coeffs``: one matrix product."""
-    return coeffs @ ring.mul_matrix(u) % ring.p2 @ ring.p2 ** np.arange(ring.r)
-
-
 def _moved(elements, multipliers) -> np.ndarray:
     """[i, j]: the index in ``elements`` of elements[j] * multipliers[i], or -1 outside them."""
     ring = elements[0].ring
     coeffs = np.array([x.coeffs for x in elements], dtype=np.int64)
     position = np.full(ring.q * ring.q, -1, dtype=np.int64)
     position[[x.code for x in elements]] = np.arange(len(elements))
-    moved = [position[_product_codes(ring, coeffs, u)] for u in multipliers]
+    moved = [position[ring.codes_of(coeffs @ ring.mul_matrix(u) % ring.p2)] for u in multipliers]
     return np.array(moved, dtype=np.int64).reshape(len(multipliers), len(elements))
 
 
@@ -224,14 +220,9 @@ def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
 
 
 def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
-    """code(a * unit) for every element code a of the ring, by one matrix product.
-
-    Raises InvalidSubgroupError unless the map is a bijection of the codes.
-    """
-    size = ring.q * ring.q
-    digits = np.arange(size)[:, None] // ring.p2 ** np.arange(ring.r) % ring.p2
-    image = _product_codes(ring, digits, unit)
-    if (np.bincount(image, minlength=size) != 1).any():
+    """code(a * unit) for every ring code a: the span of the rows xi^j * unit, checked bijective."""
+    image = ring.codes_of(linear_span(ring.mul_matrix(unit), ring.p2))
+    if (np.bincount(image, minlength=ring.q * ring.q) != 1).any():
         raise InvalidSubgroupError(f"multiplication by {unit!r} does not permute the ring")
     return image
 
@@ -663,20 +654,20 @@ class CodeContext:
 
     # -- encoding and direct counting ----------------------------------------
 
-    def encode(self, beta: GaloisRingElement):
-        """The codeword c_beta, T(beta * x) over G, with beta * x read from ``mul_matrix(beta)``."""
-        p2 = self.p * self.p
+    def _encode_rows(self, beta: GaloisRingElement) -> np.ndarray:
+        """(n, r) small-ring coefficients of T(beta * x) over G, via ``mul_matrix(beta)``."""
         coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
         trace = np.array(self.tower.trace_matrix, dtype=np.int64)
-        rows = coeffs @ self.big.mul_matrix(beta) % p2 @ trace.T % p2
-        return tuple(GaloisRingElement(self.small, row) for row in rows.tolist())
+        return coeffs @ self.big.mul_matrix(beta) % self.big.p2 @ trace.T % self.big.p2
+
+    def encode(self, beta: GaloisRingElement):
+        """The codeword c_beta, T(beta * x) over G, as small-ring elements."""
+        return tuple(GaloisRingElement(self.small, row) for row in self._encode_rows(beta).tolist())
 
     def count_components(self, beta: GaloisRingElement) -> dict[int, int]:
         """Direct tally N_beta(a) for every a in the small ring, by element code."""
-        counts = {code: 0 for code in range(self.q * self.q)}
-        for symbol in self.encode(beta):
-            counts[symbol.code] += 1
-        return counts
+        symbols = self.small.codes_of(self._encode_rows(beta))
+        return dict(enumerate(np.bincount(symbols, minlength=self.q * self.q).tolist()))
 
     def symbol_matrix(self) -> np.ndarray:
         """(Q^2, n) array of small-ring symbol codes, one row per beta code.
@@ -684,33 +675,27 @@ class CodeContext:
         With beta = sum_j b_j xi^j and x = sum_k g_k xi^k, the symbol
         T(beta x) is sum_j b_j sum_k g_k T(xi^(j+k)): the Hankel table of
         traces of xi^0 .. xi^(2rs-2), contracted with the coefficients of G,
-        gives W_j = T(xi^j x) for every x.  The rows for all beta are then
-        built digit by digit of the beta code, with no ring product; a spot
-        check against the element-wise encoder guards the construction.
+        gives W_j = T(xi^j x) for every x, and row beta is their ``linear_span``
+        at the digits of beta: no ring product.  The low digits span a block of
+        rows within TALLY_BLOCK_BYTES from the offset of each value of the high
+        digits, stored in the smallest unsigned type holding q^2 - 1.  A spot
+        check against the rows of ``encode`` guards the construction.
         """
         def build():
-            p2, rs, rr, n = self.p * self.p, self.r * self.s, self.r, self.n
+            p2, rs, n = self.p * self.p, self.r * self.s, self.n
             trace = np.array(self.tower.trace_matrix, dtype=np.int64)  # (r, rs)
             xi = np.array([x.coeffs for x in self.big.xi_powers], dtype=np.int64)
             hankel = xi[np.arange(2 * rs - 1) % (self.Q - 1)] @ trace.T % p2  # T(xi^i)
             coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
-            digit = np.arange(p2, dtype=np.int64)[:, None, None, None]
-            # unsigned and wide enough for a sum of two residues mod p^2
-            dtype = np.min_scalar_type(2 * p2 - 1)
-            symbols = np.zeros((1, n, rr), dtype=dtype)
-            for j in range(rs):  # digit j of the beta code becomes the leading axis
-                w_j = coeffs @ hankel[j:j + rs] % p2  # (n, r): T(xi^j x)
-                total = ((digit * w_j % p2).astype(dtype) + symbols).reshape(-1, n, rr)
-                # reduce mod p^2: below p^2, total - p^2 wraps around above total
-                symbols = np.minimum(total, total - dtype.type(p2))
-            mat = symbols[:, :, rr - 1].astype(np.int64)
-            for t in reversed(range(rr - 1)):  # symbol code: base-p^2 digits, little-endian
-                mat *= p2
-                mat += symbols[:, :, t]
+            w = np.array([coeffs @ hankel[j:j + rs] % p2 for j in range(rs)])  # (rs, n, r)
+            fit = TALLY_BLOCK_BYTES // (w[0].size * np.min_scalar_type(2 * p2 - 1).itemsize)
+            low = max((j for j in range(rs + 1) if p2**j <= fit), default=0)  # low beta digits
+            mat = np.empty((self.Q * self.Q, n), dtype=np.min_scalar_type(self.q**2 - 1))
+            for block, offset in zip(mat.reshape(-1, p2**low, n), linear_span(w[low:], p2)):
+                block[:] = self.small.codes_of(linear_span(w[:low], p2, offset), mat.dtype)
             for code in range(0, self.Q * self.Q, max(1, (self.Q * self.Q) // 8)):
-                beta = self.big.from_code(code)
-                expect = [sym.code for sym in self.encode(beta)]
-                if list(mat[code]) != expect:
+                expect = self.small.codes_of(self._encode_rows(self.big.from_code(code)))
+                if not np.array_equal(mat[code], expect):
                     raise IncompatibleTowerError("fast encoder disagrees with encode()")
             return mat
         return self._cache("symbol_matrix", build)

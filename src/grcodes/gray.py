@@ -170,8 +170,6 @@ def _check_symmetry(ctx: CodeContext, which: str, mat: np.ndarray) -> None:
     else:
         tilde = ctx.build_tilde_code()
         columns, coset, factor = map(np.array, (tilde.rep_indices, tilde.coset, tilde.factor))
-    dtype = np.min_scalar_type(ctx.q * ctx.q - 1)
-    rows = mat.astype(dtype)
     table = _gray_table(ctx)
     block_distance = np.count_nonzero(table[:, None, :] != table[None, :, :], axis=2)
     for perm in ctx.generator_action():
@@ -180,13 +178,13 @@ def _check_symmetry(ctx: CodeContext, which: str, mat: np.ndarray) -> None:
         if not np.array_equal(codes[j], moved):
             raise InvalidSubgroupError("a generator of G moves a coordinate out of G")
         pi, h = coset[j], factor[j]
-        image = rows[perm]
+        image = mat[perm]
         for unit in sorted(set(h.tolist())):  # np.unique would import numpy.ma
             times = unit_action(ctx.small, ctx.small.from_code(unit))
             cols = np.flatnonzero(h == unit)
             if not (
                 np.array_equal(block_distance[np.ix_(times, times)], block_distance)
-                and np.array_equal(image[:, cols], times.astype(dtype)[rows[:, pi[cols]]])
+                and np.array_equal(image[:, cols], times.astype(mat.dtype)[mat[:, pi[cols]]])
             ):
                 raise InvalidSubgroupError(
                     f"a generator of G does not act on the rows of {which} as a Gray isometry"

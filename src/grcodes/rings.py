@@ -152,6 +152,26 @@ def _orbit_matrix(sigma, steps: int, mod: int) -> tuple[tuple[int, ...], ...]:
     return total
 
 
+def linear_span(images, mod: int, start=0) -> np.ndarray:
+    """Row c = start + sum_j c_j images[j] mod ``mod``, for every code c = sum_j c_j mod^j.
+
+    images is an array of shape (k, ...), entries below mod.  Digit j repeats the
+    rows built so far mod times, each copy the previous one plus images[j]:
+    additions only, in the smallest unsigned type that holds 2 mod - 1.
+    """
+    dtype = np.min_scalar_type(2 * mod - 1)
+    rows = np.full((1,) + images.shape[1:], start, dtype=dtype)
+    for image in images.astype(dtype):
+        span = np.empty((mod,) + rows.shape, dtype=dtype)
+        span[0] = rows
+        for c in range(1, mod):
+            np.add(span[c - 1], image, out=span[c])
+            # reduce mod ``mod``: below mod, x - mod wraps around above x
+            np.minimum(span[c], span[c] - dtype.type(mod), out=span[c])
+        rows = span.reshape((-1,) + images.shape[1:])
+    return rows
+
+
 def _check_columns(matrix, basis, scalar_map, what: str) -> None:
     """Raise unless column j of the matrix is scalar_map(basis[j]) for every j.
 
@@ -594,14 +614,11 @@ class GaloisRing:
             p, q, p2 = self.p, self.q, self.p2
             xi = np.array([x.coeffs for x in self.xi_powers], dtype=np.int64)  # (q-1, r)
             ks = np.arange(q - 1)
-            field_log = self.residue_field.log
-            residue_logs = np.array([field_log[v] for v in range(1, q)], dtype=np.int64)
-            shifted = xi[(ks[:, None] + residue_logs[None, :]) % (q - 1)]  # xi^(k + log v)
-            place = p2 ** np.arange(self.r, dtype=np.int64)
-            unit_codes = np.empty((q - 1, q), dtype=np.int64)
-            unit_codes[:, 0] = xi @ place
-            unit_codes[:, 1:] = ((xi[:, None, :] + p * shifted) % p2) @ place
-            ideal_codes = (p * xi % p2) @ place
+            residue_logs = np.array([self.residue_field.log[v] for v in range(1, q)])
+            shifted = np.zeros((q - 1, q, self.r), dtype=np.int64)  # xi^(k + log v), 0 at v = 0
+            shifted[:, 1:] = xi[(ks[:, None] + residue_logs[None, :]) % (q - 1)]
+            unit_codes = self.codes_of((xi[:, None, :] + p * shifted) % p2)
+            ideal_codes = self.codes_of(p * xi % p2)
             k = np.full(q * q, -1, dtype=np.int64)
             v = np.full(q * q, -1, dtype=np.int64)
             k[unit_codes] = ks[:, None]
@@ -659,6 +676,14 @@ class GaloisRing:
     def trace_to_prime(self, a: GaloisRingElement) -> int:
         """Trace down to Z_{p^2}, as an integer 0 <= t < p^2: one dot product."""
         return sum(map(operator.mul, self.trace_vector, a.coeffs)) % self.p2
+
+    def codes_of(self, rows: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """The ``.code`` of each coefficient row (the last axis of rows), in dtype."""
+        codes = np.zeros(rows.shape[:-1], dtype=dtype)
+        for j in reversed(range(self.r)):  # little-endian base-p^2 digits, by Horner
+            codes *= self.p2
+            codes += rows[..., j]
+        return codes
 
     def mul_matrix(self, u: GaloisRingElement) -> np.ndarray:
         """Matrix of a -> a * u on coefficient rows: row j is xi^j * u, from r ring products."""

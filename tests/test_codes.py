@@ -21,6 +21,7 @@ from grcodes.codes import (
     span_subspace,
 )
 from grcodes.errors import (
+    IncompatibleTowerError,
     InvalidSubgroupError,
     NegativeCountError,
     NotRationalError,
@@ -650,9 +651,37 @@ def _oracle_code(name: str):
 def test_symbol_matrix_matches_encode_on_every_beta(name):
     ctx = _oracle_code(name)
     mat = ctx.symbol_matrix()
-    assert mat.shape == (ctx.Q * ctx.Q, ctx.n) and mat.dtype == np.int64
+    assert mat.shape == (ctx.Q * ctx.Q, ctx.n) and mat.dtype == np.min_scalar_type(ctx.q**2 - 1)
     for beta in ctx.big.elements():
         assert mat[beta.code].tolist() == [sym.code for sym in ctx.encode(beta)], (ctx, beta)
+
+
+@pytest.mark.parametrize("name", ["p2-n12", "p5-n30", "p2-r3s2-n3"])
+def test_symbol_matrix_in_row_blocks_matches_encode(monkeypatch, name):
+    ctx = _oracle_code(name)
+    rs, row_bytes = ctx.r * ctx.s, ctx.n * ctx.r  # uint8 symbol digits for p = 2 and 5
+    half = (ctx.p**2) ** (rs // 2) * row_bytes  # the low half of the beta digits fit
+    mats = []  # all kept alive, so no block can reuse the buffer of a correct one
+    for budget in (1, half):  # no low digit; half of the digits low
+        monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", budget)
+        mats.append(_oracle_code(name).symbol_matrix())
+    for mat in mats:
+        assert mat.dtype == np.min_scalar_type(ctx.q**2 - 1)
+        for beta in ctx.big.elements():
+            assert mat[beta.code].tolist() == [sym.code for sym in ctx.encode(beta)], (ctx, beta)
+
+
+def test_symbol_matrix_refuses_a_corrupted_table(monkeypatch):
+    span = codes.linear_span
+
+    def corrupted(images, mod, start=0):
+        rows = span(images, mod, start)
+        rows[0] = (rows[0] + 1) % mod  # every block's first row, beta = 0 among them
+        return rows
+
+    monkeypatch.setattr(codes, "linear_span", corrupted)
+    with pytest.raises(IncompatibleTowerError, match="disagrees with encode"):
+        _oracle_code("p2-n12").symbol_matrix()
 
 
 def _encode_oracle(ctx, beta):

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from grcodes import rings
@@ -262,6 +264,34 @@ def test_mul_matrix_matches_scalar_products(p, r):
 def test_mul_matrix_refuses_an_element_of_another_ring():
     with pytest.raises(ValueError, match="different rings"):
         GaloisRing(2, 2).mul_matrix(GaloisRing(2, 2).one)
+
+
+@pytest.mark.parametrize("mod", [4, 9, 25, 169])  # 169: uint16, and sums past 255 wrap
+@pytest.mark.parametrize("k, shape", [(0, ()), (2, ()), (2, (3,)), (2, (3, 2)), (0, (3, 2))])
+def test_linear_span_matches_the_sum_of_digit_multiples(mod, k, shape):
+    rng = np.random.default_rng(mod * 10 + k)
+    images = rng.integers(0, mod, size=(k,) + shape)
+    images.flat[:1] = mod - 1  # the largest residue, so the sums reach 2 * mod - 2
+    start = rng.integers(0, mod, size=shape)
+    digits = np.arange(mod**k)[:, None] // mod ** np.arange(k) % mod  # (mod^k, k)
+    expected = (digits @ images.reshape(k, math.prod(shape))).reshape((mod**k,) + shape) % mod
+    for offset, result in ((0, rings.linear_span(images, mod)),
+                           (start, rings.linear_span(images, mod, start))):
+        assert result.dtype == np.min_scalar_type(2 * mod - 1)
+        assert np.array_equal(result, (expected + offset) % mod), (mod, k, shape)
+
+
+@pytest.mark.parametrize("p, r", [(2, 3), (3, 2), (5, 1)])
+def test_codes_of_matches_the_element_codes(p, r):
+    ring = GaloisRing(p, r)
+    elements = list(ring.elements())
+    rows = np.array([x.coeffs for x in elements])
+    expected = [x.code for x in elements]
+    assert ring.codes_of(rows).tolist() == expected
+    narrow = ring.codes_of(rows.astype(np.uint8), np.min_scalar_type(ring.q**2 - 1))
+    assert narrow.dtype == np.uint8 and narrow.tolist() == expected
+    assert ring.codes_of(rows.reshape(ring.q, ring.q, r)).tolist() == np.reshape(
+        expected, (ring.q, ring.q)).tolist()
 
 
 def test_log_table_rejects_a_bad_xi_table():
