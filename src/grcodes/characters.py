@@ -11,7 +11,9 @@ two independent ways: literally by enumeration, and through the closed-form
 case table that reduces every nontrivial value to a finite-field Gauss sum.
 Cross-validating the two routes on whole rings is one of the package's main
 correctness checks.  ``gauss_sum_rows`` runs both routes for one chi and
-every beta at once; the scalar methods stay as the per-pair oracles.
+every beta at once and returns rows, not values: each route's canonical
+forms modulo Phi_m, and the definitional group-algebra rows.  The scalar
+methods stay as the per-pair oracles.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, values_from_rows
+from .cyclotomic import CyclotomicInteger, reduced_rows
 from .errors import InvalidSubgroupError, NotAUnitError
 from .rings import FiniteField, GaloisRing, GaloisRingElement, linear_span
 
@@ -227,15 +229,18 @@ class CharacterSystem:
 
     def gauss_sum_rows(
         self, chi: tuple[int, GaloisRingElement]
-    ) -> tuple[list[CyclotomicInteger], list[CyclotomicInteger]]:
-        """The closed-form and the definitional G(chi, lambda_beta) for every beta.
+    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
+        """The closed-form and the definitional G(chi, lambda_beta) for every beta, as rows.
 
-        Both lists follow ``ring.elements()`` order, and each list is reduced
-        by one ``values_from_rows`` call.  The definitional sums are one
-        offset bincount over the exponents of chi * lambda_beta at every
-        unit; the closed forms follow the case table of
-        ``gauss_sum_closed_form``, twisting the base value by a cyclic shift,
-        with no enumeration of units.
+        Returns the canonical forms modulo Phi_m of the closed forms and of
+        the definitional sums, as tuples, and the definitional sums as an
+        int64 (q^2, m) array of group-algebra rows; all follow
+        ``ring.elements()`` order.  Each route is reduced by one
+        ``reduced_rows`` call, so two values are equal exactly when their
+        tuples are.  The definitional sums are one offset bincount over the
+        exponents of chi * lambda_beta at every unit; the closed forms follow
+        the case table of ``gauss_sum_closed_form``, twisting the base value
+        by a cyclic shift, with no enumeration of units.
         """
         ring, m = self.ring, self.m
         q = ring.q
@@ -264,7 +269,7 @@ class CharacterSystem:
             closed[units] = principal[(cols + at_unit[units][:, None]) % m]
             lambda_p = np.array(self.gauss_sum_lambda_p(chi).coeffs, dtype=np.int64)
             closed[ideal] = lambda_p[(cols + at_xi[k[ideal]][:, None]) % m]
-        return values_from_rows(closed, m), values_from_rows(definition, m)
+        return reduced_rows(closed, m), reduced_rows(definition, m), definition
 
 
 # ---------------------------------------------------------------------------

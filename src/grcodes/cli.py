@@ -12,7 +12,9 @@ no effect: every sweep runs in one thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from .characters import CharacterSystem
 from .codes import CodeContext, build_code
+from .cyclotomic import canonical_text, complex_value
 from .errors import GRCodesError
 from .gray import field_enumeration, gray_image_analyze, gray_map_vec
 from .rings import (
@@ -153,12 +156,19 @@ def _build_context(cfg: RunConfig) -> CodeContext:
     )
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+@contextlib.contextmanager
+def _output(cfg: RunConfig):
+    """The write function of the report's destination: ``--output`` or stdout."""
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
+
+
+def _emit(cfg: RunConfig, text: str) -> None:
+    with _output(cfg) as write:
+        write(text)
 
 
 def _kv_csv(rows: list[tuple[str, str, str]]) -> str:
@@ -214,68 +224,112 @@ def cmd_ring_info(cfg: RunConfig) -> int:
 def cmd_gauss(cfg: RunConfig) -> int:
     ring = _build_ring(cfg)
     system = CharacterSystem(ring)
-
-    def record(chi_i, chi_b, beta, closed, definition):
-        entry = {
-            "chi_i": chi_i,
-            "chi_b": chi_b,
-            "beta": beta,
-            "equal": closed == definition,
-            "closed": repr(closed),
-            "definition": repr(definition),
-            "magnitude_approx": f"{abs(definition.approx()):.6f}",
-        }
-        if cfg.dump_sums or cfg.format == "json":
-            entry["closed_coeffs"] = {"m": system.m, "coeffs": list(closed.canonical())}
-            entry["definition_coeffs"] = {"m": system.m, "coeffs": list(definition.canonical())}
-        return entry
-
     if cfg.sweep:
-        keep = cfg.full or cfg.dump_sums
-        betas = [format_element(beta) for beta in ring.elements()]
-        entries = []
-        pairs = 0
-        all_equal = True
-        for chi in system.all_mult_chars():
-            closed, definition = system.gauss_sum_rows(chi)
-            pairs += len(closed)
-            if keep:
-                chi_b = format_element(chi[1])
-                entries += [
-                    record(chi[0], chi_b, beta, c, d)
-                    for beta, c, d in zip(betas, closed, definition)
-                ]
-            all_equal = all_equal and closed == definition
-        expected = ring.q * (ring.q - 1) * ring.q * ring.q
-        payload = {"pairs": pairs, "pairs_expected": expected, "all_equal": all_equal}
-        if keep:
-            payload["records"] = entries
-        ok = all_equal and pairs == expected
-    else:
-        b = parse_element(ring, cfg.chi_b)
-        if b.coeffs not in ring.teichmuller_log and not b.is_zero():
-            raise GRCodesError(f"chi_b must be a Teichmuller element, got {cfg.chi_b!r}")
-        chi, beta = (cfg.chi_i, b), parse_element(ring, cfg.beta)
-        payload = record(
-            cfg.chi_i, format_element(b), format_element(beta),
-            system.gauss_sum_closed_form(chi, beta), system.gauss_sum_definition(chi, beta),
-        )
-        ok = payload["equal"]
+        return _gauss_sweep(cfg, ring, system)
+    b = parse_element(ring, cfg.chi_b)
+    if b.coeffs not in ring.teichmuller_log and not b.is_zero():
+        raise GRCodesError(f"chi_b must be a Teichmuller element, got {cfg.chi_b!r}")
+    chi, beta = (cfg.chi_i, b), parse_element(ring, cfg.beta)
+    closed = system.gauss_sum_closed_form(chi, beta)
+    definition = system.gauss_sum_definition(chi, beta)
+    payload = {
+        "chi_i": cfg.chi_i,
+        "chi_b": format_element(b),
+        "beta": format_element(beta),
+        "equal": closed == definition,
+        "closed": repr(closed),
+        "definition": repr(definition),
+        "magnitude_approx": f"{abs(definition.approx()):.6f}",
+    }
+    if cfg.dump_sums or cfg.format == "json":
+        payload["closed_coeffs"] = {"m": system.m, "coeffs": list(closed.canonical())}
+        payload["definition_coeffs"] = {"m": system.m, "coeffs": list(definition.canonical())}
+    ok = payload["equal"]
     if cfg.format == "json":
         _emit(cfg, json_text(payload) + "\n")
     else:
-        verdict = "EQUAL" if ok else "DIFFER"
-        if cfg.sweep:
-            _emit(cfg, f"{payload['pairs']} pairs checked, verdict {verdict}\n")
+        _emit(
+            cfg,
+            f"chi = (i={payload['chi_i']}, b={payload['chi_b']}), "
+            f"lambda_beta with beta={payload['beta']}\n"
+            f"  definition:  {payload['definition']}\n"
+            f"  closed form: {payload['closed']}\n"
+            f"  |G| ~ {payload['magnitude_approx']} (approximate), "
+            f"verdict {'EQUAL' if ok else 'DIFFER'}\n",
+        )
+    return 0 if ok else 1
+
+
+# one sweep record, as json_text writes it inside the report's "records" list; the
+# keys are in its sorted order, which is also the order of the % arguments
+_SWEEP_RECORD = "    {\n" + ",\n".join(
+    f'      "{key}": %s'
+    for key in ("beta", "chi_b", "chi_i", "closed", "closed_coeffs", "definition",
+                "definition_coeffs", "equal", "magnitude_approx")
+) + "\n    }"
+
+
+def _gauss_sweep(cfg: RunConfig, ring: GaloisRing, system: CharacterSystem) -> int:
+    """Both Gauss-sum routes on every (chi, beta); the JSON report with records is streamed.
+
+    Records exist only in the JSON report (``--full`` or ``--dump-sums``).
+    ``all_equal`` precedes them in it, so every chi is checked before the
+    first record is written, and each record is kept meanwhile as references
+    into two tables of JSON texts: the repr and coeffs block of each distinct
+    canonical row, and the magnitude of each distinct definitional row.
+    """
+    m = system.m
+    records = cfg.format == "json" and (cfg.full or cfg.dump_sums)
+    magnitudes: dict[bytes, str] = {}  # definitional row -> its magnitude text
+
+    @functools.cache
+    def value(row):  # a canonical row -> its repr and coeffs block
+        return json_text(canonical_text(m, row)), json_text({"m": m, "coeffs": list(row)}, depth=3)
+
+    def magnitude(row):
+        key = row.tobytes()
+        text = magnitudes.get(key)
+        if text is None:
+            (k,) = row.nonzero()
+            approx = complex_value(m, zip(k.tolist(), row[k].tolist()))
+            text = magnitudes[key] = json_text(f"{abs(approx):.6f}")
+        return text
+
+    kept = []
+    pairs, all_equal = 0, True
+    for chi in system.all_mult_chars():
+        closed, definition, sums = system.gauss_sum_rows(chi)
+        pairs += len(closed)
+        all_equal = all_equal and closed == definition
+        if records:
+            kept.append((
+                json_text(chi[0]), json_text(format_element(chi[1])),
+                [value(row) for row in closed], [value(row) for row in definition],
+                [magnitude(row) for row in sums],
+            ))
+    expected = ring.q * (ring.q - 1) * ring.q * ring.q
+    ok = all_equal and pairs == expected
+    summary = {"pairs": pairs, "pairs_expected": expected, "all_equal": all_equal}
+    if not records:
+        if cfg.format == "json":
+            _emit(cfg, json_text(summary) + "\n")
         else:
-            _emit(
-                cfg,
-                f"chi = (i={payload['chi_i']}, b={payload['chi_b']}), "
-                f"lambda_beta with beta={payload['beta']}\n"
-                f"  definition:  {payload['definition']}\n"
-                f"  closed form: {payload['closed']}\n"
-                f"  |G| ~ {payload['magnitude_approx']} (approximate), verdict {verdict}\n",
-            )
+            _emit(cfg, f"{pairs} pairs checked, verdict {'EQUAL' if ok else 'DIFFER'}\n")
+        return 0 if ok else 1
+    betas = [json_text(format_element(beta)) for beta in ring.elements()]
+    flag = {True: json_text(True), False: json_text(False)}
+    with _output(cfg) as write:
+        head = json_text(summary)  # ends in "\n}", and "records" sorts after its keys
+        write(head[:-2] + ',\n  "records": [\n')
+        sep = ""
+        for chi_i, chi_b, closed, definition, mags in kept:
+            # equal rows share one texts entry, so `is` compares the rows
+            write(sep + ",\n".join(
+                _SWEEP_RECORD % (beta, chi_b, chi_i, *lhs, *rhs, flag[lhs is rhs], mag)
+                for beta, lhs, rhs, mag in zip(betas, closed, definition, mags)
+            ))
+            sep = ",\n"
+        write("\n  ]\n}\n")
     return 0 if ok else 1
 
 

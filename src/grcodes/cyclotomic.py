@@ -9,7 +9,11 @@ verification path.  ``canonical_rows`` is the one reduction: it reduces
 whole arrays of group-algebra rows at once, through
 Phi_m(x) = Phi_rad(x^(m/rad)) with rad the product of the primes dividing m,
 ``CyclotomicInteger.canonical`` is a one-row call of it, and
-``values_from_rows`` reduces a block of rows into values at once.
+``reduced_rows`` reduces a block of rows into hashable canonical tuples.
+Code that handles many values at once, like the Gauss-sum sweeps, keeps
+those tuples and builds no value objects: ``canonical_text`` prints a
+canonical tuple exactly as ``repr`` prints its value, and ``complex_value``
+is the display-only float evaluation behind ``approx``.
 
 >>> z = CyclotomicInteger.zeta(4)
 >>> z * z == -1
@@ -140,6 +144,31 @@ def sum_dtype(m: int, abs_sum: int):
     return np.int64 if _reduction_table(m)[2] * abs_sum < INT64_SUM_BOUND else object
 
 
+def canonical_text(m: int, canonical) -> str:
+    """The text ``Cyc[m](...)`` of the value whose canonical form is ``canonical``."""
+    terms = []
+    for k, c in enumerate(canonical):
+        if not c:
+            continue
+        if k == 0:
+            terms.append(f"{c}")
+        elif c == 1:
+            terms.append(f"z^{k}")
+        else:
+            terms.append(f"{c}*z^{k}")
+    body = " + ".join(terms) if terms else "0"
+    return f"Cyc[{m}]({body})"
+
+
+def complex_value(m: int, terms) -> complex:
+    """Floating-point value of sum c * zeta_m^k over the (k, c) of ``terms``, for display only.
+
+    The terms are added in the order given, zero coefficients skipped.
+    """
+    roots = _roots_of_unity(m)
+    return sum(c * roots[k] for k, c in terms if c)
+
+
 def canonical_rows(sums: np.ndarray, m: int) -> list[list[int]]:
     """Canonical forms modulo Phi_m of group-algebra rows: one matrix product.
 
@@ -153,6 +182,16 @@ def canonical_rows(sums: np.ndarray, m: int) -> list[list[int]]:
     blocks = sums.reshape(len(sums), rad, step).transpose(0, 2, 1)
     reduced = blocks @ reduction.astype(sums.dtype, copy=False)  # (rows, step, deg)
     return reduced.transpose(0, 2, 1).reshape(len(sums), deg * step).tolist()
+
+
+def reduced_rows(rows: np.ndarray, m: int) -> list[tuple[int, ...]]:
+    """Canonical forms modulo Phi_m of an int64 (values, m) block of rows, as tuples.
+
+    One ``canonical_rows`` call, in int64 or in Python ints as ``sum_dtype``
+    chooses for the largest absolute row sum.
+    """
+    dtype = sum_dtype(m, int(np.abs(rows).sum(axis=1).max(initial=0)))
+    return list(map(tuple, canonical_rows(rows.astype(dtype), m)))
 
 
 class CyclotomicInteger:
@@ -301,8 +340,7 @@ class CyclotomicInteger:
 
     def approx(self) -> complex:
         """Floating-point evaluation, for display only; never used for checks."""
-        roots = _roots_of_unity(self.m)
-        return sum(c * roots[k] for k, c in enumerate(self.coeffs) if c)
+        return complex_value(self.m, enumerate(self.coeffs))
 
     # -- comparisons ----------------------------------------------------
 
@@ -316,31 +354,4 @@ class CyclotomicInteger:
         return hash((self.m, self.canonical()))
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.canonical()):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
-            elif c == 1:
-                terms.append(f"z^{k}")
-            else:
-                terms.append(f"{c}*z^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Cyc[{self.m}]({body})"
-
-
-def values_from_rows(rows: np.ndarray, m: int) -> list[CyclotomicInteger]:
-    """Group-algebra rows as values, all reduced by one ``canonical_rows`` call.
-
-    ``rows`` is a (values, m) integer array.  Each value keeps its row as its
-    coefficients and its reduced row as its canonical form, so ``==``,
-    ``repr`` and ``canonical`` reduce nothing further.
-    """
-    dtype = sum_dtype(m, int(np.abs(rows).sum(axis=1).max(initial=0)))
-    values = []
-    for row, can in zip(rows.tolist(), canonical_rows(rows.astype(dtype), m)):
-        value = CyclotomicInteger(m, row)
-        value._canonical = tuple(can)
-        values.append(value)
-    return values
+        return canonical_text(self.m, self.canonical())

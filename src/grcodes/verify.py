@@ -10,6 +10,7 @@ these and the CLI's.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from .characters import CharacterSystem
 from .codes import CodeContext
-from .cyclotomic import exact_int
+from .cyclotomic import canonical_text, exact_int
 from .gray import gray_image_analyze, theorem44_hom_weight, theorem45_table
 from .rings import GaloisRing, format_element
 
@@ -99,15 +100,17 @@ def _put(value, newline: str, out, open_ids: set) -> None:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def json_text(payload) -> str:
+def json_text(payload, depth: int = 0) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, and its errors.
 
     With ``indent`` set, Python 3.10-3.12 encode in pure Python, one
     generator step per token; this writer appends each value's text to one
-    list instead.
+    list instead.  ``depth`` writes the payload as a value nested that many
+    levels deep in a larger report: every line after the first is indented
+    by 2 * depth more spaces.
     """
     parts: list[str] = []
-    _put(payload, "\n", parts.append, set())
+    _put(payload, "\n" + "  " * depth, parts.append, set())
     return "".join(parts)
 
 
@@ -189,41 +192,37 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def suite_gauss_equivalence(ring: GaloisRing, full: bool = False) -> VerificationReport:
-    """Closed-form Gauss sums against the definitional sums, all (chi, lambda)."""
+    """Closed-form Gauss sums against the definitional sums, all (chi, lambda).
+
+    A pair matches when the canonical rows of its two routes are equal.
+    Without ``full`` only the first mismatching beta of each chi is printed;
+    with it, each distinct canonical row is printed once and reused.
+    """
     report = VerificationReport(
         "2.1", {"p": ring.p, "r": ring.r, "modulus": list(ring.modulus)}
     )
     system = CharacterSystem(ring)
-    betas = list(ring.elements())
+    text = functools.cache(functools.partial(canonical_text, system.m))
+    betas = [format_element(beta) for beta in ring.elements()]
+    anchor = "2.1-closed-vs-definition"
     total_pairs = 0
     total_bad = 0
-    for chi in system.all_mult_chars():
-        pairs = list(zip(betas, *system.gauss_sum_rows(chi)))
-        mismatches = [(beta, lhs, rhs) for beta, lhs, rhs in pairs if lhs != rhs]
+    for i, b in system.all_mult_chars():
+        closed, definition, _ = system.gauss_sum_rows((i, b))
+        mismatches = [k for k, (lhs, rhs) in enumerate(zip(closed, definition)) if lhs != rhs]
         total_pairs += len(betas)
         total_bad += len(mismatches)
+        chi = f"i{i}-b{format_element(b)}"
         if full:
-            i, b = chi
-            for beta, lhs, rhs in pairs:
-                report.add(
-                    f"pair-i{i}-b{format_element(b)}-beta{format_element(beta)}",
-                    "2.1-closed-vs-definition",
-                    repr(lhs),
-                    repr(rhs),
-                )
+            for beta, lhs, rhs in zip(betas, closed, definition):
+                report.add(f"pair-{chi}-beta{beta}", anchor, text(lhs), text(rhs))
         elif mismatches:
-            beta, lhs, rhs = mismatches[0]
-            i, b = chi
-            report.add(
-                f"char-i{i}-b{format_element(b)}",
-                "2.1-closed-vs-definition",
-                repr(lhs),
-                repr(rhs),
-            )
+            k = mismatches[0]
+            report.add(f"char-{chi}", anchor, text(closed[k]), text(definition[k]))
     if not full:
         report.add(
             "all-pairs",
-            "2.1-closed-vs-definition",
+            anchor,
             f"{total_pairs} pairs equal",
             f"{total_pairs - total_bad} pairs equal",
         )

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -9,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import grcodes
+from grcodes.characters import CharacterSystem
 from grcodes.cli import RunConfig, main
 from grcodes.codes import build_code
-from grcodes.rings import format_element
+from grcodes.cyclotomic import CyclotomicInteger
+from grcodes.rings import GaloisRing, format_element
+from grcodes.verify import VerificationReport, json_text
 
 
 def run_cli(*argv):
@@ -63,20 +67,167 @@ def test_gauss_sweep_pair_count():
 
 
 def test_gauss_sweep_builds_no_record_without_full(monkeypatch):
-    from grcodes.cyclotomic import CyclotomicInteger
+    import grcodes.cli as cli
 
-    approx_calls = []
+    built = []
     approx = CyclotomicInteger.approx
     monkeypatch.setattr(
-        CyclotomicInteger, "approx", lambda self: approx_calls.append(self) or approx(self)
+        CyclotomicInteger, "approx", lambda self: built.append(self) or approx(self)
     )
+    for name in ("canonical_text", "complex_value"):
+        helper = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *args, helper=helper: built.append(args) or helper(*args)
+        )
     status, out, _ = run_cli("gauss", "--sweep", "--p", "3", "--r", "2", "--format", "json")
     assert status == 0
     assert out == '{\n  "all_equal": true,\n  "pairs": 5832,\n  "pairs_expected": 5832\n}\n'
-    assert run_cli("gauss", "--sweep", "--p", "3", "--r", "2")[:2] == (
-        0, "5832 pairs checked, verdict EQUAL\n"
+    # text and csv print only the summary line, with or without --full and --dump-sums
+    for fmt in ("text", "csv"):
+        for extra in ((), ("--full",), ("--dump-sums",), ("--full", "--dump-sums")):
+            argv = ("gauss", "--sweep", "--p", "3", "--r", "2", "--format", fmt, *extra)
+            assert run_cli(*argv)[:2] == (0, "5832 pairs checked, verdict EQUAL\n")
+    assert built == []
+
+
+_SWEEP_RINGS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_sums(p, r):
+    """m, and (chi, beta, closed form, definition) from the scalar routes in sweep order."""
+    ring = GaloisRing(p, r)
+    system = CharacterSystem(ring)
+    betas = list(ring.elements())
+    closed, definition = system.gauss_sum_closed_form, system.gauss_sum_definition
+    return system.m, [
+        (chi, beta, closed(chi, beta), definition(chi, beta))
+        for chi in system.all_mult_chars()
+        for beta in betas
+    ]
+
+
+def _sweep_oracle(p, r, bumped=frozenset()):
+    """The `gauss --sweep --full --format json` payload, one record dict per pair.
+
+    The closed form is one more at each (chi_i, chi_b code, beta code) in ``bumped``.
+    """
+    m, sums = _scalar_sums(p, r)
+    records = []
+    for (i, b), beta, closed, definition in sums:
+        if (i, b.code, beta.code) in bumped:
+            closed = closed + 1
+        records.append({
+            "chi_i": i,
+            "chi_b": format_element(b),
+            "beta": format_element(beta),
+            "equal": closed == definition,
+            "closed": repr(closed),
+            "definition": repr(definition),
+            "magnitude_approx": f"{abs(definition.approx()):.6f}",
+            "closed_coeffs": {"m": m, "coeffs": list(closed.canonical())},
+            "definition_coeffs": {"m": m, "coeffs": list(definition.canonical())},
+        })
+    q = p**r
+    return {
+        "pairs": len(records),
+        "pairs_expected": q * (q - 1) * q * q,
+        "all_equal": all(record["equal"] for record in records),
+        "records": records,
+    }
+
+
+def _bump_closed_rows(monkeypatch, bumped):
+    """Make ``gauss_sum_rows`` return each closed form in ``bumped`` one too large."""
+    rows = CharacterSystem.gauss_sum_rows
+
+    def bumped_rows(self, chi):
+        closed, definition, sums = rows(self, chi)
+        closed = [
+            (row[0] + 1, *row[1:]) if (chi[0], chi[1].code, k) in bumped else row
+            for k, row in enumerate(closed)
+        ]
+        return closed, definition, sums
+
+    monkeypatch.setattr(CharacterSystem, "gauss_sum_rows", bumped_rows)
+
+
+def _assert_same_report(out, expected):
+    """Fail at the first differing line: pytest's own diff of reports this long takes minutes."""
+    if out != expected:
+        got, want = out.splitlines(), expected.splitlines()
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"reports differ at line {k + 1}: {got[k:k + 1]} != {want[k:k + 1]}")
+
+
+@pytest.mark.parametrize("p, r", _SWEEP_RINGS)
+def test_gauss_sweep_streams_the_record_report(p, r):
+    status, out, _ = run_cli(
+        "gauss", "--sweep", "--full", "--p", str(p), "--r", str(r), "--format", "json"
     )
-    assert approx_calls == []
+    assert status == 0
+    _assert_same_report(out, json_text(_sweep_oracle(p, r)) + "\n")
+
+
+def test_gauss_sweep_streams_to_a_file_and_with_dump_sums(tmp_path):
+    expected = json_text(_sweep_oracle(3, 2)) + "\n"
+    target = tmp_path / "sweep.json"
+    ring = ("--p", "3", "--r", "2", "--format", "json")
+    status, out, _ = run_cli("gauss", "--sweep", "--full", *ring, "--output", str(target))
+    assert (status, out) == (0, "")
+    _assert_same_report(target.read_text(encoding="utf-8"), expected)
+    status, out, _ = run_cli("gauss", "--sweep", "--dump-sums", *ring)
+    assert status == 0
+    _assert_same_report(out, expected)
+
+
+def test_gauss_sweep_reports_a_single_differing_pair(monkeypatch):
+    m, sums = _scalar_sums(2, 3)
+    index = 5 * 64 + 11  # beta 11 of the sixth character
+    (i, b), beta, _, _ = sums[index]
+    bumped = {(i, b.code, beta.code)}
+    _bump_closed_rows(monkeypatch, bumped)
+    argv = ("gauss", "--sweep", "--full", "--p", "2", "--r", "3")
+    status, out, _ = run_cli(*argv, "--format", "json")
+    assert status == 1
+    _assert_same_report(out, json_text(_sweep_oracle(2, 3, bumped)) + "\n")
+    assert '\n  "all_equal": false,\n' in out
+    payload = json.loads(out)
+    assert [k for k, record in enumerate(payload["records"]) if not record["equal"]] == [index]
+    assert run_cli(*argv)[:2] == (1, "3584 pairs checked, verdict DIFFER\n")
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_suite_21_reports_the_first_mismatch_of_each_character(monkeypatch, full):
+    p, r = 2, 3
+    m, sums = _scalar_sums(p, r)
+    (i, b), _, _, _ = sums[5 * 64]
+    bumped = {(i, b.code, 11), (i, b.code, 40)}
+    _bump_closed_rows(monkeypatch, bumped)
+    anchor = "2.1-closed-vs-definition"
+    params = {"p": p, "r": r, "modulus": list(GaloisRing(p, r).modulus)}
+    expected = VerificationReport("2.1", params)
+    mismatches = []
+    for (ci, cb), beta, closed, definition in sums:
+        if (ci, cb.code, beta.code) in bumped:
+            closed = closed + 1
+            mismatches.append((closed, definition))
+        if full:
+            expected.add(
+                f"pair-i{ci}-b{format_element(cb)}-beta{format_element(beta)}",
+                anchor, repr(closed), repr(definition),
+            )
+    (first, first_definition), (last, _) = mismatches
+    assert repr(first) != repr(last)  # the report can tell the first mismatch from the last
+    if not full:
+        expected.add(
+            f"char-i{i}-b{format_element(b)}", anchor, repr(first), repr(first_definition)
+        )
+        expected.add("all-pairs", anchor, "3584 pairs equal", "3582 pairs equal")
+    argv = ["code", "verify", "--theorem", "2.1", "--p", "2", "--r", "3", "--format", "json"]
+    status, out, _ = run_cli(*argv, *(["--full"] if full else []))
+    assert status == 1
+    assert out == expected.to_json()
 
 
 def test_gauss_dump_sums():

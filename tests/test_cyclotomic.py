@@ -73,7 +73,7 @@ def test_each_value_is_reduced_once(monkeypatch):
     assert len(rows) == 2 + 1 + 1  # x and y once each, then the reduced copy and the 0
 
 
-def test_values_from_rows_keep_both_forms(monkeypatch):
+def test_reduced_rows_reduce_a_block_once(monkeypatch):
     rng = random.Random("values-from-rows")
     for m, bound in ((12, 5), (36, 2**40), (30, 2**61)):  # the last needs Python ints
         rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(7)]
@@ -83,12 +83,24 @@ def test_values_from_rows_keep_both_forms(monkeypatch):
         monkeypatch.setattr(
             cyc, "canonical_rows", lambda sums, m: calls.append(m) or reduce_rows(sums, m)
         )
-        values = cyc.values_from_rows(np.array(rows, dtype=np.int64), m)
-        assert [v.coeffs for v in values] == [tuple(row) for row in rows]
-        assert [v.canonical() for v in values] == expected
+        assert cyc.reduced_rows(np.array(rows, dtype=np.int64), m) == expected
         assert calls == [m]
         monkeypatch.undo()
-    assert cyc.values_from_rows(np.zeros((0, 6), dtype=np.int64), 6) == []
+    assert cyc.reduced_rows(np.zeros((0, 6), dtype=np.int64), 6) == []
+
+
+@pytest.mark.parametrize("m", [4, 12, 18, 28, 72, 294])
+def test_repr_is_the_shared_formatter(m):
+    rng = random.Random(f"formatter-{m}")
+    rows = [[0] * m, [1] * m]  # zero, and the sum of all m-th roots of unity
+    rows += [[rng.choice([0, 0, 0, 1, -1, 2, -7]) for _ in range(m)] for _ in range(20)]
+    canonical = cyc.reduced_rows(np.array(rows, dtype=np.int64), m)
+    for row, can in zip(rows, canonical):
+        value = CyclotomicInteger(m, row)
+        assert can == value.canonical()
+        assert repr(value) == cyc.canonical_text(m, can)
+    zero = f"Cyc[{m}](0)"
+    assert cyc.canonical_text(m, canonical[0]) == cyc.canonical_text(m, canonical[1]) == zero
 
 
 def test_approx_gives_the_floats_of_a_fresh_exp_per_term():
