@@ -219,6 +219,20 @@ def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
     return counts
 
 
+def span_blocks(ring: GaloisRing, w: np.ndarray, dtype):
+    """The ring codes of the rows of ``linear_span(w, ring.p2)``, as (start, block) pairs.
+
+    w is (k, n, r): the coefficient rows of the images of the k basis vectors.
+    The low digits span a block of rows within TALLY_BLOCK_BYTES from the
+    offset of each value of the high digits, so no (rows, n, r) array is built.
+    """
+    p2 = ring.p2
+    fit = TALLY_BLOCK_BYTES // (w[0].size * np.min_scalar_type(2 * p2 - 1).itemsize)
+    low = max((j for j in range(len(w) + 1) if p2**j <= fit), default=0)
+    for i, offset in enumerate(linear_span(w[low:], p2)):
+        yield i * p2**low, ring.codes_of(linear_span(w[:low], p2, offset), dtype)
+
+
 def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
     """code(a * unit) for every ring code a: the span of the rows xi^j * unit, checked bijective."""
     image = ring.codes_of(linear_span(ring.mul_matrix(unit), ring.p2))
@@ -676,9 +690,8 @@ class CodeContext:
         T(beta x) is sum_j b_j sum_k g_k T(xi^(j+k)): the Hankel table of
         traces of xi^0 .. xi^(2rs-2), contracted with the coefficients of G,
         gives W_j = T(xi^j x) for every x, and row beta is their ``linear_span``
-        at the digits of beta: no ring product.  The low digits span a block of
-        rows within TALLY_BLOCK_BYTES from the offset of each value of the high
-        digits, stored in the smallest unsigned type holding q^2 - 1.  A spot
+        at the digits of beta: no ring product.  It is built by ``span_blocks``
+        and stored in the smallest unsigned type holding q^2 - 1.  A spot
         check against the rows of ``encode`` guards the construction.
         """
         def build():
@@ -688,11 +701,9 @@ class CodeContext:
             hankel = xi[np.arange(2 * rs - 1) % (self.Q - 1)] @ trace.T % p2  # T(xi^i)
             coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
             w = np.array([coeffs @ hankel[j:j + rs] % p2 for j in range(rs)])  # (rs, n, r)
-            fit = TALLY_BLOCK_BYTES // (w[0].size * np.min_scalar_type(2 * p2 - 1).itemsize)
-            low = max((j for j in range(rs + 1) if p2**j <= fit), default=0)  # low beta digits
             mat = np.empty((self.Q * self.Q, n), dtype=np.min_scalar_type(self.q**2 - 1))
-            for block, offset in zip(mat.reshape(-1, p2**low, n), linear_span(w[low:], p2)):
-                block[:] = self.small.codes_of(linear_span(w[:low], p2, offset), mat.dtype)
+            for start, block in span_blocks(self.small, w, mat.dtype):
+                mat[start:start + len(block)] = block
             for code in range(0, self.Q * self.Q, max(1, (self.Q * self.Q) // 8)):
                 expect = self.small.codes_of(self._encode_rows(self.big.from_code(code)))
                 if not np.array_equal(mat[code], expect):

@@ -5,7 +5,9 @@ part of p*T, and 0 at zero; it generalizes the Lee weight on Z_4.  The Gray
 map sends beta = b0 + p*b1 to the evaluation vector of the affine polynomial
 f(x) = b0_bar * x + b1_bar over a fixed enumeration of F_q, which makes
 (R^n, w_hom) -> (F_q^{nq}, w_Hamming) an isometry.  Images of the trace
-codes are (usually nonlinear) two-distance codes.
+codes are (usually nonlinear) two-distance codes.  Their weights,
+distances and size are read from the symbol counts of the additive code,
+never from the images themselves.
 """
 from __future__ import annotations
 
@@ -21,12 +23,12 @@ from .codes import (
     BETA_ZERO,
     CodeContext,
     TableReport,
-    distinct_rows,
-    unit_action,
+    span_blocks,
+    tally_rows,
 )
 from .cyclotomic import exact_int
 from .errors import InvalidSubgroupError, PreconditionViolatedError
-from .rings import GaloisRing, GaloisRingElement
+from .rings import GaloisRing, GaloisRingElement, linear_span
 
 
 def hom_weight(a: GaloisRingElement) -> int:
@@ -146,67 +148,35 @@ def _gray_table(ctx: CodeContext) -> np.ndarray:
     return table
 
 
-def _gray_matrix(ctx: CodeContext, symbol_matrix: np.ndarray) -> np.ndarray:
-    """Gray images of all codewords as one (Q^2, n*q) array of F_q codes."""
-    imgs = _gray_table(ctx)[symbol_matrix]  # (Q^2, n, q)
-    return imgs.reshape(symbol_matrix.shape[0], -1)
+def _symbol_gray_weights(ctx: CodeContext) -> np.ndarray:
+    """w(a), the Hamming weight of the Gray image of each small-ring code a, checked.
 
-
-def _check_symmetry(ctx: CodeContext, which: str, mat: np.ndarray) -> None:
-    """Raise unless each generator g of G moves every row by a Gray isometry.
-
-    Row beta g must be row beta with its columns permuted, and for Ctilde
-    with entry i also multiplied by a unit h_i of the small ring, where
-    g x_i = x_pi(i) h_i.  Each h_i must keep the Hamming distance between
-    the Gray images of any two symbols.  Then the Gray image of row beta g
-    is that of row beta moved by one Hamming isometry for all beta, so
-    every row of an orbit beta G has the same distances to the other rows.
-    The check reads only the matrix, the generator maps and the Gray table.
+    The Gray distance between symbols a + c and c must be w(a) for every c,
+    so that the distance between two images is the weight of their
+    difference, and w(a) must be positive for a != 0, so that the Gray map is
+    injective on symbols.
     """
-    codes = np.array([x.code for x in ctx.group_elements])
-    if which == "C":  # every element is its own column, times 1
-        columns = coset = np.arange(ctx.n)
-        factor = np.full(ctx.n, ctx.small.one.code)
-    else:
-        tilde = ctx.build_tilde_code()
-        columns, coset, factor = map(np.array, (tilde.rep_indices, tilde.coset, tilde.factor))
     table = _gray_table(ctx)
-    block_distance = np.count_nonzero(table[:, None, :] != table[None, :, :], axis=2)
-    for perm in ctx.generator_action():
-        moved = perm[codes[columns]]  # the codes of g x_i
-        j = np.minimum(np.searchsorted(codes, moved), ctx.n - 1)
-        if not np.array_equal(codes[j], moved):
-            raise InvalidSubgroupError("a generator of G moves a coordinate out of G")
-        pi, h = coset[j], factor[j]
-        image = mat[perm]
-        for unit in sorted(set(h.tolist())):  # np.unique would import numpy.ma
-            times = unit_action(ctx.small, ctx.small.from_code(unit))
-            cols = np.flatnonzero(h == unit)
-            if not (
-                np.array_equal(block_distance[np.ix_(times, times)], block_distance)
-                and np.array_equal(image[:, cols], times.astype(mat.dtype)[mat[:, pi[cols]]])
-            ):
-                raise InvalidSubgroupError(
-                    f"a generator of G does not act on the rows of {which} as a Gray isometry"
-                )
+    weights = np.count_nonzero(table, axis=1)
+    digits = linear_span(np.eye(ctx.r, dtype=np.int64), ctx.small.p2)  # row a: a's coefficients
+    for c in range(len(table)):
+        shifted = ctx.small.codes_of((digits + digits[c]) % ctx.small.p2)  # the codes of a + c
+        if not np.array_equal(np.count_nonzero(table[shifted] != table[c], axis=1), weights):
+            raise InvalidSubgroupError(
+                "the Gray distance between two symbols is not the weight of their difference"
+            )
+    if not weights[1:].all():
+        raise InvalidSubgroupError("the Gray map sends a nonzero symbol to the zero vector")
+    return weights
 
 
-def _orbit_distances(gray: np.ndarray, reps: np.ndarray, sizes: np.ndarray) -> dict[int, int]:
-    """Multiset of Hamming distances over all unordered pairs of rows.
-
-    Every row of an orbit has the same distances to all rows (``_check_symmetry``),
-    so the tally over ordered pairs is, summed over the orbits, the orbit
-    size times the distances from its representative to every row.  The
-    pairs of a row with itself are then taken from distance 0, and each
-    unordered pair was counted from both ends.
-    """
-    tally = np.zeros(gray.shape[1] + 1, dtype=np.int64)
-    for rep, size in zip(reps.tolist(), sizes.tolist()):
-        diffs = np.count_nonzero(gray != gray[rep], axis=1)
-        tally += size * np.bincount(diffs, minlength=len(tally))
-    tally[0] -= len(gray)
-    tally //= 2
-    return {int(dist): int(count) for dist, count in enumerate(tally.tolist()) if count}
+def _check_additive(ctx: CodeContext, which: str, mat: np.ndarray) -> None:
+    """Raise unless row beta of the matrix is the sum of its rows at the digits of beta."""
+    digits = linear_span(np.eye(ctx.r, dtype=np.int64), ctx.small.p2)
+    basis = digits[mat[ctx.small.p2 ** np.arange(ctx.r * ctx.s)]]  # the rows at beta = xi^j
+    for start, block in span_blocks(ctx.small, basis, mat.dtype):
+        if not np.array_equal(mat[start:start + len(block)], block):
+            raise InvalidSubgroupError(f"the rows of {which} are not additive in beta")
 
 
 def gray_image_analyze(
@@ -214,23 +184,29 @@ def gray_image_analyze(
 ) -> GrayImageReport:
     """Map a whole trace code through the Gray isometry and measure it.
 
-    Verifies injectivity, tallies Hamming weights, and computes the full
-    pairwise distance multiset from one row per G-orbit, after checking on
-    the rows that G acts by Gray isometries.  No homogeneous weight is read,
-    so the result can serve as an independent check of the isometry.
+    c_beta - c_beta' = c_(beta - beta'), so once the rows are checked additive
+    in beta and the Gray table translation-invariant and injective on
+    symbols, the distance between the images of c_beta and c_beta' is the
+    Gray weight of c_(beta - beta'): its symbol counts times the Gray weight
+    of each symbol.  Every gamma is beta - beta' for Q^2 ordered pairs, so the
+    pairwise distance multiset is Q^2 times the weight tally, less the Q^2
+    pairs of a row with itself at distance 0, halved.  The image has
+    Q^2 / |K| words for the kernel K of zero rows.  No homogeneous weight is
+    read, so the result can serve as an independent check of the isometry.
     """
     if which not in ("C", "Ctilde"):
         raise ValueError("which must be 'C' or 'Ctilde'")
     mat = ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
-    gray = _gray_matrix(ctx, mat)
-    size = len(distinct_rows(gray)[0])
-    weight_tally = np.bincount(np.count_nonzero(gray, axis=1))
-    weights = {w: count for w, count in enumerate(weight_tally.tolist()) if count}
-    # checked here rather than first: its small temporaries, freed before the
-    # Gray matrix is allocated, raised the n = 504 peak RSS from 80 to 90 MiB
-    _check_symmetry(ctx, which, mat)
-    _, reps, sizes = ctx.beta_orbits()
-    distances = _orbit_distances(gray, reps, sizes)
+    symbol_weights = _symbol_gray_weights(ctx)
+    _check_additive(ctx, which, mat)
+    counts = ctx.symbol_counts() if which == "C" else tally_rows(mat, ctx.q**2)
+    rows, n = mat.shape
+    weight_tally = np.bincount(counts @ symbol_weights).tolist()
+    weights = {w: count for w, count in enumerate(weight_tally) if count}
+    pairs = [rows * count for count in weight_tally]
+    pairs[0] -= rows
+    distances = {d: count // 2 for d, count in enumerate(pairs) if count}
+    kernel = int(np.count_nonzero(counts[:, 0] == n))
     nonzero = sorted(d for d in distances if d > 0)
     two_distance = len(nonzero) == 2
     if assert_two_distance and not two_distance:
@@ -239,8 +215,8 @@ def gray_image_analyze(
         )
     return GrayImageReport(
         which=which,
-        length=gray.shape[1],
-        size=size,
+        length=n * ctx.q,
+        size=exact_int(Fraction(rows, kernel), "Gray image size"),
         weights=weights,
         distances=distances,
         min_distance=nonzero[0] if nonzero else 0,

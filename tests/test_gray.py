@@ -1,6 +1,9 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,6 @@ from grcodes import gray as gray_module
 from grcodes.codes import build_code
 from grcodes.errors import InvalidSubgroupError, PreconditionViolatedError
 from grcodes.gray import (
-    _gray_matrix,
     first_order_rm_code,
     gray_image_analyze,
     gray_map,
@@ -22,6 +24,7 @@ from grcodes.gray import (
     theorem45_table,
 )
 from grcodes.rings import GaloisRing
+from test_codes import _ORACLE_CODES, _oracle_code
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,27 @@ def _pair_distances_oracle(gray) -> dict[int, int]:
     return distances
 
 
+def _gray_matrix(ctx, mat: np.ndarray) -> np.ndarray:
+    """Gray images of all rows of a symbol matrix as one (rows, n*q) array of F_q codes."""
+    return gray_module._gray_table(ctx)[mat].reshape(len(mat), -1)
+
+
+def _symbol_matrix(ctx, which: str) -> np.ndarray:
+    return ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
+
+
+def _assert_report_matches_the_images(ctx, which: str, gray: np.ndarray) -> None:
+    """Distances, weights, size and length of the report, against the Gray images themselves."""
+    expected = _pair_distances_oracle(gray)
+    assert sum(expected.values()) == len(gray) * (len(gray) - 1) // 2
+    report = gray_image_analyze(ctx, which)
+    assert report.distances == expected
+    tally = np.bincount(np.count_nonzero(gray, axis=1)).tolist()
+    assert report.weights == {w: count for w, count in enumerate(tally) if count}
+    assert report.size == len({tuple(row) for row in gray.tolist()})
+    assert report.length == gray.shape[1]
+
+
 @pytest.mark.parametrize("args, kwargs, which", [
     ((2, 1, 2), dict(e=1, d=2, sprime=1), "C"),
     ((2, 2, 2), dict(e=1, d=3, sprime=1), "Ctilde"),
@@ -186,18 +210,34 @@ def _pair_distances_oracle(gray) -> dict[int, int]:
     ((2, 1, 3), dict(e=7, d=0), "Ctilde"),
     ((2, 1, 3), dict(e=7, d=2), "C"),  # kernel of size 8
     ((2, 1, 3), dict(e=7, d=2), "Ctilde"),
+    ((3, 1, 2), dict(e=4, d=0), "C"),  # q = 3, kernel of size 9
+    ((3, 1, 2), dict(e=4, d=0), "Ctilde"),
+    ((5, 1, 2), dict(e=6, d=1), "C"),  # q = 5, kernel of size 25
 ])
 def test_pair_distances_match_the_per_row_oracle(args, kwargs, which):
     ctx = build_code(*args, **kwargs)
-    mat = ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
-    gray = _gray_matrix(ctx, mat)
+    gray = _gray_matrix(ctx, _symbol_matrix(ctx, which))
     assert gray.dtype == np.uint8
-    expected = _pair_distances_oracle(gray)
-    assert pair_distances(gray) == expected
-    assert sum(expected.values()) == len(gray) * (len(gray) - 1) // 2
-    report = gray_image_analyze(ctx, which)
-    assert report.distances == expected
-    assert report.size == len({tuple(row) for row in gray.tolist()})
+    assert pair_distances(gray) == _pair_distances_oracle(gray)
+    _assert_report_matches_the_images(ctx, which, gray)
+
+
+@pytest.mark.parametrize("which", ["C", "Ctilde"])
+@pytest.mark.parametrize("seed", range(6))
+def test_gray_reports_match_the_images_on_random_codes(seed, which):
+    # the seeded codes of test_formulas_match_enumeration_on_random_codes
+    ctx = _oracle_code(f"random-{seed}")
+    _assert_report_matches_the_images(ctx, which, _gray_matrix(ctx, _symbol_matrix(ctx, which)))
+
+
+def test_the_size_of_ctilde_is_read_from_its_own_kernel(monkeypatch):
+    # p times every symbol of Ctilde: still additive in beta, but more rows are zero than in C
+    ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
+    times_p = ctx.small.p * ctx.tilde_symbol_matrix() % ctx.small.p2  # r = 1: a code is its digit
+    monkeypatch.setattr(ctx, "tilde_symbol_matrix", lambda: times_p.astype(np.uint8))
+    gray = _gray_matrix(ctx, ctx.tilde_symbol_matrix())
+    assert ctx.hamming_distribution().size == 16 != len({tuple(row) for row in gray.tolist()})
+    _assert_report_matches_the_images(ctx, "Ctilde", gray)
 
 
 def test_one_flipped_gray_symbol_changes_the_distances():
@@ -211,13 +251,13 @@ def test_one_flipped_gray_symbol_changes_the_distances():
 
 @pytest.mark.parametrize("which", ["C", "Ctilde"])
 def test_a_flipped_symbol_fails_the_symmetry_check(which, monkeypatch):
+    # the additivity check: row beta must be the sum of the rows at the digits of beta
     ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
-    assert ctx.build_tilde_code().l == 2  # so Ctilde's check multiplies by h_i != 1
     name = "symbol_matrix" if which == "C" else "tilde_symbol_matrix"
     mat = getattr(ctx, name)().copy()
     mat[5, 3] = (mat[5, 3] + 1) % (ctx.q * ctx.q)
     monkeypatch.setattr(ctx, name, lambda: mat)
-    with pytest.raises(InvalidSubgroupError, match="Gray isometry"):
+    with pytest.raises(InvalidSubgroupError, match=f"rows of {which} are not additive"):
         gray_image_analyze(ctx, which)
 
 
@@ -226,8 +266,80 @@ def test_a_gray_table_that_h_does_not_preserve_fails_the_check(monkeypatch):
     table = gray_module._gray_table(ctx).copy()
     table[1] = table[0]  # the images of 0 and 1 now coincide
     monkeypatch.setattr(gray_module, "_gray_table", lambda ctx: table)
-    with pytest.raises(InvalidSubgroupError, match="Gray isometry"):
+    with pytest.raises(InvalidSubgroupError, match="not the weight of their difference"):
         gray_image_analyze(ctx, "Ctilde")
+
+
+def _gray_distance(table, a: int, b: int) -> int:
+    return int(np.count_nonzero(table[a] != table[b]))
+
+
+def test_a_gray_table_that_is_not_translation_invariant_fails_the_check(monkeypatch):
+    ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
+    table = gray_module._gray_table(ctx).copy()
+    table[[1, 2]] = table[[2, 1]]  # still injective: the images of 1 and 2 swapped
+    assert len({tuple(row) for row in table.tolist()}) == len(table)
+    add = lambda a, c: (a + c) % ctx.small.p2  # r = 1: a code is its digit
+    assert any(
+        _gray_distance(table, add(a, c), c) != _gray_distance(table, a, 0)
+        for a, c in itertools.product(range(len(table)), repeat=2)
+    )
+    monkeypatch.setattr(gray_module, "_gray_table", lambda ctx: table)
+    for which in ("C", "Ctilde"):
+        with pytest.raises(InvalidSubgroupError, match="not the weight of their difference"):
+            gray_image_analyze(ctx, which)
+
+
+def test_a_gray_table_that_is_not_injective_fails_the_check(monkeypatch):
+    ctx = build_code(2, 2, 2, e=3, d=1)  # r = 2 coefficients per symbol
+    digits = [(code % ctx.small.p2, code // ctx.small.p2) for code in range(ctx.q * ctx.q)]
+    table = gray_module._gray_table(ctx)[[a0 for a0, _ in digits]]  # Gray of a with a_1 zeroed
+    add = lambda a, c: sum((x + y) % ctx.small.p2 * ctx.small.p2**j
+                           for j, (x, y) in enumerate(zip(digits[a], digits[c])))
+    assert all(
+        _gray_distance(table, add(a, c), c) == _gray_distance(table, a, 0)
+        for a, c in itertools.product(range(len(table)), repeat=2)
+    )
+    monkeypatch.setattr(gray_module, "_gray_table", lambda ctx: table)
+    for which in ("C", "Ctilde"):
+        with pytest.raises(InvalidSubgroupError, match="nonzero symbol to the zero vector"):
+            gray_image_analyze(ctx, which)
+
+
+# -- MacWilliams and Delsarte: an oracle that does not read the count table -----
+
+def _krawtchouk(k: int, x: int, length: int, alphabet: int) -> int:
+    return sum((-1) ** j * (alphabet - 1) ** (k - j) * math.comb(x, j) * math.comb(length - x, k - j)
+               for j in range(k + 1))
+
+
+def _transform(distribution: dict[int, Fraction], length: int, alphabet: int) -> list[Fraction]:
+    """B'_k = sum_i B_i K_k(i; length, alphabet) for k = 0..length."""
+    return [sum(b * _krawtchouk(k, i, length, alphabet) for i, b in distribution.items())
+            for k in range(length + 1)]
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_CODES, "p3-n117"])
+def test_weights_and_distances_satisfy_macwilliams_and_delsarte(name):
+    ctx = build_code(3, 1, 3, e=2, d=2, sprime=1) if name == "p3-n117" else _oracle_code(name)
+    rows = ctx.Q * ctx.Q
+    table = ctx.hamming_distribution()
+    # C is additive over an alphabet of q^2 symbols, so its dual weight table is A'
+    kernel = Fraction(rows, table.size)
+    weights = {i: count / kernel for i, count in table.hamming.items()}  # A_i, per codeword
+    dual = [a / table.size for a in _transform(weights, ctx.n, ctx.q**2)]
+    assert all(a.denominator == 1 and a >= 0 for a in dual)
+    assert dual[0] == 1 and sum(dual) == Fraction(ctx.q ** (2 * ctx.n), table.size)
+    for which in ("C", "Ctilde"):
+        report = gray_image_analyze(ctx, which)
+        kernel = Fraction(rows, report.size)
+        ordered = {d: 2 * count for d, count in report.distances.items()}
+        ordered[0] = ordered.get(0, 0) + rows  # each row with itself
+        # B_i: the ordered pairs of codewords at distance i, per codeword
+        distance = {d: count / kernel**2 / report.size for d, count in ordered.items()}
+        dual = [b / report.size for b in _transform(distance, report.length, ctx.q)]
+        assert all(b >= 0 for b in dual), which
+        assert dual[0] == 1 and sum(dual) == Fraction(ctx.q**report.length, report.size), which
 
 
 def test_gray_jobs_do_not_import_numpy_ma():
