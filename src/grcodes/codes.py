@@ -8,10 +8,10 @@ per beta in R_big; Ctilde(G) keeps one coordinate per coset of the subgroup
 G meet R^*.
 
 Symbol counts N_beta(a) are computed two independent ways: by direct tally
-of the encoded word, and by the exact character-sum formulas whose value is
-assembled in Z[zeta_m] and converted to a rational integer at the end.  The
-two must agree everywhere; any non-integral intermediate raises instead of
-rounding.
+of the words, spanned in blocks from those of beta = xi^j, and by the exact
+character-sum formulas whose value is assembled in Z[zeta_m] and converted
+to a rational integer at the end.  The two must agree everywhere; any
+non-integral intermediate raises instead of rounding.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .rings import (
 )
 
 
-TALLY_BLOCK_BYTES = 4 << 20  # one row block of tally_rows (int64 temporaries) or symbol_matrix
+TALLY_BLOCK_BYTES = 4 << 20  # one row block of span_blocks; a tally_rows step takes an eighth
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +183,11 @@ def _moved(elements, multipliers) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer array and how often each occurs.
+    """The distinct rows of an integer array and how often each occurs, in byte order.
 
-    Rows are compared as whole byte strings, so they come back in byte
-    order, not in numeric order.  ``np.unique(a, axis=0)`` gives the same
-    set, but it sorts a structured view field by field, which is several
-    times slower on a whole symbol matrix.  Only one sorted copy of the rows
-    is alive at a time: the distinct rows are read back from ``a``.
+    Rows are compared as whole byte strings: ``np.unique(a, axis=0)`` sorts a
+    structured view field by field, several times slower.  Only one sorted copy
+    of the rows is alive at a time: the distinct rows are read back from ``a``.
     """
     a = np.ascontiguousarray(a)
     rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
@@ -205,11 +203,11 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
     """(rows, q2) array: how often each symbol code below q2 occurs in each row.
 
-    Rows are tallied in blocks, one ``np.bincount`` per block with row i
-    offset by i * q2, so no second array of the matrix's shape is built: a
-    block's offset rows and its tally take about TALLY_BLOCK_BYTES together.
+    One ``np.bincount`` per block of rows, row i offset by i * q2: a block's
+    int64 temporaries take about TALLY_BLOCK_BYTES / 8, no more than the
+    ``span_blocks`` block they tally (larger ones made the heap refault per block).
     """
-    step = max(1, TALLY_BLOCK_BYTES // (8 * (mat.shape[1] + q2)))
+    step = max(1, TALLY_BLOCK_BYTES // (64 * (mat.shape[1] + q2)))
     offsets = np.arange(min(step, len(mat)), dtype=np.int64)[:, None] * q2
     counts = np.empty((len(mat), q2), dtype=np.int64)
     for start in range(0, len(mat), step):
@@ -219,18 +217,25 @@ def tally_rows(mat: np.ndarray, q2: int) -> np.ndarray:
     return counts
 
 
-def span_blocks(ring: GaloisRing, w: np.ndarray, dtype):
+def span_blocks(ring: GaloisRing, w: np.ndarray):
     """The ring codes of the rows of ``linear_span(w, ring.p2)``, as (start, block) pairs.
 
-    w is (k, n, r): the coefficient rows of the images of the k basis vectors.
-    The low digits span a block of rows within TALLY_BLOCK_BYTES from the
-    offset of each value of the high digits, so no (rows, n, r) array is built.
+    w is (k, n, r): the coefficient rows of the images of the k basis vectors;
+    codes come in the smallest unsigned type holding q^2 - 1.  The low digits
+    span a block of rows within TALLY_BLOCK_BYTES from each offset of the high
+    digits, which steps like an odometer: one image added mod p^2 per digit that
+    moves, none undone on a wrap (p^2 W = 0).  One block and one offset are alive.
     """
-    p2 = ring.p2
+    p2, dtype = ring.p2, np.min_scalar_type(ring.q**2 - 1)
     fit = TALLY_BLOCK_BYTES // (w[0].size * np.min_scalar_type(2 * p2 - 1).itemsize)
     low = max((j for j in range(len(w) + 1) if p2**j <= fit), default=0)
-    for i, offset in enumerate(linear_span(w[low:], p2)):
+    offset = np.zeros(w.shape[1:], dtype=np.int64)
+    for i in range(p2 ** (len(w) - low)):
         yield i * p2**low, ring.codes_of(linear_span(w[:low], p2, offset), dtype)
+        for j, image in enumerate(w[low:]):  # on to i + 1: one image per high digit that moves
+            offset = (offset + image) % p2
+            if (i + 1) % p2 ** (j + 1):
+                break
 
 
 def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
@@ -668,11 +673,16 @@ class CodeContext:
 
     # -- encoding and direct counting ----------------------------------------
 
+    def _words(self, mul: np.ndarray) -> np.ndarray:
+        """(n, r) small-ring coefficients of T(u x) over G, from the matrix of a -> a u on R_big."""
+        coeffs = self._cache("group_coeffs", lambda: np.array(
+            [x.coeffs for x in self.group_elements], dtype=np.int64))
+        trace = np.array(self.tower.trace_matrix, dtype=np.int64)
+        return coeffs @ mul % self.big.p2 @ trace.T % self.big.p2
+
     def _encode_rows(self, beta: GaloisRingElement) -> np.ndarray:
         """(n, r) small-ring coefficients of T(beta * x) over G, via ``mul_matrix(beta)``."""
-        coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
-        trace = np.array(self.tower.trace_matrix, dtype=np.int64)
-        return coeffs @ self.big.mul_matrix(beta) % self.big.p2 @ trace.T % self.big.p2
+        return self._words(self.big.mul_matrix(beta))
 
     def encode(self, beta: GaloisRingElement):
         """The codeword c_beta, T(beta * x) over G, as small-ring elements."""
@@ -683,33 +693,42 @@ class CodeContext:
         symbols = self.small.codes_of(self._encode_rows(beta))
         return dict(enumerate(np.bincount(symbols, minlength=self.q * self.q).tolist()))
 
-    def symbol_matrix(self) -> np.ndarray:
-        """(Q^2, n) array of small-ring symbol codes, one row per beta code.
-
-        With beta = sum_j b_j xi^j and x = sum_k g_k xi^k, the symbol
-        T(beta x) is sum_j b_j sum_k g_k T(xi^(j+k)): the Hankel table of
-        traces of xi^0 .. xi^(2rs-2), contracted with the coefficients of G,
-        gives W_j = T(xi^j x) for every x, and row beta is their ``linear_span``
-        at the digits of beta: no ring product.  It is built by ``span_blocks``
-        and stored in the smallest unsigned type holding q^2 - 1.  A spot
-        check against the rows of ``encode`` guards the construction.
-        """
+    def _basis_images(self) -> np.ndarray:
+        """(rs, n, r) words of beta = xi^j: rows j .. j+rs-1 of xi's powers multiply by xi^j."""
         def build():
-            p2, rs, n = self.p * self.p, self.r * self.s, self.n
-            trace = np.array(self.tower.trace_matrix, dtype=np.int64)  # (r, rs)
-            xi = np.array([x.coeffs for x in self.big.xi_powers], dtype=np.int64)
-            hankel = xi[np.arange(2 * rs - 1) % (self.Q - 1)] @ trace.T % p2  # T(xi^i)
-            coeffs = np.array([x.coeffs for x in self.group_elements], dtype=np.int64)
-            w = np.array([coeffs @ hankel[j:j + rs] % p2 for j in range(rs)])  # (rs, n, r)
-            mat = np.empty((self.Q * self.Q, n), dtype=np.min_scalar_type(self.q**2 - 1))
-            for start, block in span_blocks(self.small, w, mat.dtype):
-                mat[start:start + len(block)] = block
-            for code in range(0, self.Q * self.Q, max(1, (self.Q * self.Q) // 8)):
-                expect = self.small.codes_of(self._encode_rows(self.big.from_code(code)))
-                if not np.array_equal(mat[code], expect):
-                    raise IncompatibleTowerError("fast encoder disagrees with encode()")
-            return mat
-        return self._cache("symbol_matrix", build)
+            rs = self.r * self.s
+            xi = np.array([self.big.xi_powers[i % (self.Q - 1)].coeffs for i in range(2 * rs - 1)])
+            return np.array([self._words(xi[j:j + rs]) for j in range(rs)])
+        return self._cache("basis_images", build)
+
+    def _symbol_blocks(self, columns=slice(None)):
+        """(start, block) pairs: the symbol codes of the words of every beta at the columns.
+
+        Row beta is the ``span_blocks`` row of the basis images at the digits of beta;
+        eight spread rows and the rows of beta = xi^j (the images) are checked against ``encode``.
+        """
+        rows, xis = self.Q * self.Q, self.big.xi_powers[:self.r * self.s]
+        betas = np.array(sorted({*range(0, rows, max(1, rows // 8)), *(x.code for x in xis)}))
+        expect = self._cache("encoded_samples", lambda: np.array(
+            [self.small.codes_of(self._encode_rows(self.big.from_code(c))) for c in betas]))
+        for start, block in span_blocks(self.small, self._basis_images()[:, columns]):
+            at = (betas >= start) & (betas < start + len(block))
+            if not np.array_equal(block[betas[at] - start], expect[at][:, columns]):
+                raise IncompatibleTowerError("fast encoder disagrees with encode()")
+            yield start, block
+
+    def _tally(self, columns=slice(None)) -> np.ndarray:
+        counts = np.empty((self.Q * self.Q, self.q**2), dtype=np.int64)
+        for start, block in self._symbol_blocks(columns):
+            counts[start:start + len(block)] = tally_rows(block, self.q**2)
+        return counts
+
+    def symbol_matrix(self) -> np.ndarray:
+        """(Q^2, n) array of small-ring symbol codes, one row per beta code, not kept.
+
+        The counts are tallied as the blocks stream: only a report of every symbol needs this.
+        """
+        return np.concatenate([block for _, block in self._symbol_blocks()])
 
     # -- symbol classification ------------------------------------------------
 
@@ -860,7 +879,7 @@ class CodeContext:
 
         Every count, weight and class-table cell of the code is read from it.
         """
-        return self._cache("symbol_counts", lambda: tally_rows(self.symbol_matrix(), self.q**2))
+        return self._cache("symbol_counts", self._tally)
 
     def hamming_distribution(self) -> WeightTable:
         counts = self.symbol_counts()
@@ -888,10 +907,6 @@ class CodeContext:
 
     def hom_weight_per_beta(self) -> np.ndarray:
         return self.symbol_counts() @ self._symbol_hom_weights()
-
-    def hom_weights(self, mat: np.ndarray) -> np.ndarray:
-        """Homogeneous weight of each row of a matrix of small-ring symbol codes."""
-        return tally_rows(mat, self.q**2) @ self._symbol_hom_weights()
 
     # -- closed-form tables ---------------------------------------------------
 
@@ -1030,18 +1045,13 @@ class CodeContext:
             return TildeCode(reps, len(stabilizer), len(reps), coset, factor)
         return self._cache("tilde", build)
 
-    def encode_tilde(self, beta: GaloisRingElement):
-        word = self.encode(beta)
-        return tuple(word[i] for i in self.build_tilde_code().rep_indices)
-
-    def tilde_symbol_matrix(self) -> np.ndarray:
-        tilde = self.build_tilde_code()
-        return self.symbol_matrix()[:, list(tilde.rep_indices)]
+    def tilde_symbol_counts(self) -> np.ndarray:
+        """(Q^2, q^2) array of N_beta(a) on Ctilde: the tally of the representative columns."""
+        reps = list(self.build_tilde_code().rep_indices)
+        return self._cache("tilde_symbol_counts", lambda: self._tally(reps))
 
     def tilde_min_hamming(self) -> int:
-        mat = self.tilde_symbol_matrix()
-        weights = (mat != 0).sum(axis=1)
-        return int(weights[1:].min()) if mat.shape[0] > 1 else 0
+        return self.build_tilde_code().n_prime - int(self.tilde_symbol_counts()[1:, 0].max())
 
     def __repr__(self):
         return (

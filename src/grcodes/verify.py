@@ -325,7 +325,7 @@ def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationRepor
     report = VerificationReport("4.4", _ctx_params(ctx))
     weights = ctx.hom_weight_per_beta()
     tilde = ctx.build_tilde_code()
-    tilde_weights = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
+    tilde_weights = (ctx.tilde_symbol_counts() @ ctx._symbol_hom_weights()).tolist()
     beta_codes = range(ctx.Q * ctx.Q)
     bad_scaling = 0
     for code in beta_codes:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -380,7 +381,7 @@ def test_tilde_code(ctx212):
     assert tilde.l * tilde.n_prime == ctx212.n
     assert ctx212.tilde_min_hamming() == 4  # d / l = 8 / 2
     # distinct tilde codewords: same size as C
-    mat = ctx212.tilde_symbol_matrix()
+    mat = ctx212.symbol_matrix()[:, list(tilde.rep_indices)]
     assert len({tuple(row) for row in mat.tolist()}) == 16
 
 
@@ -684,6 +685,54 @@ def test_symbol_matrix_refuses_a_corrupted_table(monkeypatch):
         _oracle_code("p2-n12").symbol_matrix()
 
 
+@pytest.mark.parametrize("which", ["symbol_counts", "tilde_symbol_counts"])
+@pytest.mark.parametrize("j", range(4))
+def test_a_corrupted_basis_image_is_refused(monkeypatch, j, which):
+    # p = 2: the 8 spread betas are multiples of Q^2 / 8 = 32, so their digits 0 and 1 are zero
+    ctx = build_code(2, 1, 4, e=5, d=2)  # n = 12, Q^2 = 256, rs = 4
+    images = ctx._basis_images().copy()
+    column = ctx.build_tilde_code().rep_indices[-1]  # a column of both C and Ctilde
+    images[j, column] = (images[j, column] + 1) % ctx.small.p2
+    monkeypatch.setattr(ctx, "_basis_images", lambda: images)
+    with pytest.raises(IncompatibleTowerError, match="disagrees with encode"):
+        getattr(ctx, which)()
+
+
+def _per_row_tally(mat, q2: int) -> np.ndarray:
+    return np.array([np.bincount(row, minlength=q2) for row in mat], dtype=np.int64)
+
+
+@pytest.mark.parametrize("budget", ["one-byte", "half-the-rows", "default"])
+@pytest.mark.parametrize("name", _ORACLE_CODES)
+def test_streamed_counts_match_a_per_row_tally_of_the_matrix(monkeypatch, name, budget):
+    mat = _oracle_code(name).symbol_matrix()
+    half = mat.shape[0] // 2 * mat.shape[1] * _oracle_code(name).r  # uint8 digits for p <= 5
+    if budget != "default":
+        monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", 1 if budget == "one-byte" else half)
+    ctx = _oracle_code(name)  # built after the budget is set: the tables are cached
+    reps = list(ctx.build_tilde_code().rep_indices)
+    for counts, expected in ((ctx.symbol_counts(), mat), (ctx.tilde_symbol_counts(), mat[:, reps])):
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _per_row_tally(expected, ctx.q**2)), (ctx, budget)
+
+
+def test_streamed_counts_keep_a_few_blocks_alive(monkeypatch):
+    ctx = build_code(2, 3, 2, e=1, d=3, sprime=1)  # n = 504: Q^2 = 4,096 rows of 1,512 digits
+    budget = 4 << 10  # under two rows: one-row blocks, every digit of beta walked as an offset
+    monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", budget)
+    ctx.tilde_symbol_counts()  # builds the basis images and the rows checked against encode
+    images = ctx._basis_images()
+    eager_offsets = ctx.Q * ctx.Q * images[0].size  # linear_span of every image at once, in uint8
+    tracemalloc.start()
+    try:
+        counts = ctx.symbol_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = counts.nbytes + 16 * budget + 2 * images.nbytes  # the table, blocks, one offset a digit
+    assert peak < bound < eager_offsets, (peak, bound, eager_offsets)
+
+
 def _encode_oracle(ctx, beta):
     """The element-wise encoder, one ring product and one trace per group element."""
     return tuple(ctx.tower.trace(beta * x) for x in ctx.group_elements)
@@ -817,7 +866,7 @@ def test_tally_rows_in_blocks_matches_one_bincount(monkeypatch):
     offsets = np.arange(len(mat))[:, None] * 9
     expected = np.bincount((offsets + mat).ravel(), minlength=len(mat) * 9).reshape(-1, 9)
     tallies = []  # all kept alive, so no tally can reuse the buffer of a correct one
-    for budget in (8 * (5 + 9) * 4, 1):  # 5 blocks of 4 rows and one of 3; one-row blocks
+    for budget in (64 * (5 + 9) * 4, 1):  # 5 blocks of 4 rows and one of 3; one-row blocks
         monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", budget)
         tallies.append(codes.tally_rows(mat, 9))
     for tally in tallies:
@@ -836,14 +885,15 @@ def test_weights_read_from_the_count_table_match_encode(name):
     counts = ctx.symbol_counts()
     assert ctx.symbol_counts() is counts  # tallied once
     hom = ctx.hom_weight_per_beta().tolist()
-    tilde = ctx.hom_weights(ctx.tilde_symbol_matrix()).tolist()
+    tilde = (ctx.tilde_symbol_counts() @ ctx._symbol_hom_weights()).tolist()
+    reps = ctx.build_tilde_code().rep_indices
     table = ctx.hamming_distribution()
     hamming: dict[int, int] = {}
     for beta in ctx.big.elements():
         word = ctx.encode(beta)
         assert counts[beta.code].tolist() == _tally(ctx, beta), (ctx, beta)
         assert hom[beta.code] == hom_weight_vec(word), (ctx, beta)
-        assert tilde[beta.code] == hom_weight_vec(ctx.encode_tilde(beta)), (ctx, beta)
+        assert tilde[beta.code] == hom_weight_vec(word[i] for i in reps), (ctx, beta)
         weight = sum(1 for a in word if not a.is_zero())
         hamming[weight] = hamming.get(weight, 0) + 1
     assert table.hamming == hamming
@@ -930,9 +980,8 @@ def test_class_table_matches_the_cell_loop_on_hom_weights():
         predictions.setdefault(row.beta_class, {})[row.a_class] = row.predicted
     assert report.all_match and set(predictions) == set(report.class_counts)
     columns = ("w_hom", "w_hom_tilde")
-    observed = np.stack(
-        [ctx.hom_weight_per_beta(), ctx.hom_weights(ctx.tilde_symbol_matrix())], axis=1
-    )
+    tilde_weights = ctx.tilde_symbol_counts() @ ctx._symbol_hom_weights()
+    observed = np.stack([ctx.hom_weight_per_beta(), tilde_weights], axis=1)
     cases = _class_table_cases(ctx, columns, observed, seed=ctx.n)
     verdicts = [_check_class_table(ctx, predictions, columns, table) for table in cases]
     assert verdicts[0] and not any(verdicts[1:])

@@ -12,7 +12,11 @@ import pytest
 import grcodes
 from grcodes import gray as gray_module
 from grcodes.codes import build_code
-from grcodes.errors import InvalidSubgroupError, PreconditionViolatedError
+from grcodes.errors import (
+    IncompatibleTowerError,
+    InvalidSubgroupError,
+    PreconditionViolatedError,
+)
 from grcodes.gray import (
     first_order_rm_code,
     gray_image_analyze,
@@ -91,7 +95,7 @@ def test_theorem44_tilde_scaling():
         beta = ctx.big.from_code(code)
         w = theorem44_hom_weight(ctx, beta)
         assert w % tilde.l == 0
-        assert w // tilde.l == hom_weight_vec(ctx.encode_tilde(beta))
+        assert w // tilde.l == hom_weight_vec(ctx.encode(beta)[i] for i in tilde.rep_indices)
 
 
 def test_d_hom():
@@ -177,7 +181,8 @@ def _gray_matrix(ctx, mat: np.ndarray) -> np.ndarray:
 
 
 def _symbol_matrix(ctx, which: str) -> np.ndarray:
-    return ctx.symbol_matrix() if which == "C" else ctx.tilde_symbol_matrix()
+    mat = ctx.symbol_matrix()
+    return mat if which == "C" else mat[:, list(ctx.build_tilde_code().rep_indices)]
 
 
 def _assert_report_matches_the_images(ctx, which: str, gray: np.ndarray) -> None:
@@ -233,16 +238,17 @@ def test_gray_reports_match_the_images_on_random_codes(seed, which):
 def test_the_size_of_ctilde_is_read_from_its_own_kernel(monkeypatch):
     # p times every symbol of Ctilde: still additive in beta, but more rows are zero than in C
     ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
-    times_p = ctx.small.p * ctx.tilde_symbol_matrix() % ctx.small.p2  # r = 1: a code is its digit
-    monkeypatch.setattr(ctx, "tilde_symbol_matrix", lambda: times_p.astype(np.uint8))
-    gray = _gray_matrix(ctx, ctx.tilde_symbol_matrix())
+    times_p = ctx.small.p * _symbol_matrix(ctx, "Ctilde") % ctx.small.p2  # r = 1: code = digit
+    counts = np.array([np.bincount(row, minlength=ctx.q * ctx.q) for row in times_p])
+    monkeypatch.setattr(ctx, "tilde_symbol_counts", lambda: counts)
+    gray = _gray_matrix(ctx, times_p)
     assert ctx.hamming_distribution().size == 16 != len({tuple(row) for row in gray.tolist()})
     _assert_report_matches_the_images(ctx, "Ctilde", gray)
 
 
 def test_one_flipped_gray_symbol_changes_the_distances():
     ctx = build_code(3, 1, 3, e=2, d=2, sprime=1)
-    gray = _gray_matrix(ctx, ctx.tilde_symbol_matrix())
+    gray = _gray_matrix(ctx, _symbol_matrix(ctx, "Ctilde"))
     before = pair_distances(gray)
     gray[5, 7] = (gray[5, 7] + 1) % ctx.q
     after = pair_distances(gray)
@@ -251,13 +257,13 @@ def test_one_flipped_gray_symbol_changes_the_distances():
 
 @pytest.mark.parametrize("which", ["C", "Ctilde"])
 def test_a_flipped_symbol_fails_the_symmetry_check(which, monkeypatch):
-    # the additivity check: row beta must be the sum of the rows at the digits of beta
+    # a corrupted basis image is refused: the rows at beta = xi^j are checked against encode
     ctx = build_code(2, 1, 2, e=1, d=2, sprime=1)
-    name = "symbol_matrix" if which == "C" else "tilde_symbol_matrix"
-    mat = getattr(ctx, name)().copy()
-    mat[5, 3] = (mat[5, 3] + 1) % (ctx.q * ctx.q)
-    monkeypatch.setattr(ctx, name, lambda: mat)
-    with pytest.raises(InvalidSubgroupError, match=f"rows of {which} are not additive"):
+    images = ctx._basis_images().copy()
+    column = ctx.build_tilde_code().rep_indices[-1]  # a column of both C and Ctilde
+    images[1, column] = (images[1, column] + 1) % ctx.small.p2
+    monkeypatch.setattr(ctx, "_basis_images", lambda: images)
+    with pytest.raises(IncompatibleTowerError, match="disagrees with encode"):
         gray_image_analyze(ctx, which)
 
 
