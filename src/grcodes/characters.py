@@ -100,12 +100,6 @@ class CharacterSystem:
 
     # -- character evaluation -------------------------------------------------
 
-    def eval_additive(self, beta: GaloisRingElement, x: GaloisRingElement) -> CyclotomicInteger:
-        return CyclotomicInteger.zeta(self.m, self.additive_exponent(beta, x))
-
-    def eval_mult(self, chi: tuple[int, GaloisRingElement], x: GaloisRingElement) -> CyclotomicInteger:
-        return CyclotomicInteger.zeta(self.m, self.mult_exponent(chi, x))
-
     def eval_mult_conj(self, chi, x) -> CyclotomicInteger:
         return CyclotomicInteger.zeta(self.m, -self.mult_exponent(chi, x))
 

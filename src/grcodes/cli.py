@@ -69,17 +69,6 @@ class RunConfig:
     sweep: bool = False
     dump_sums: bool = False
 
-    def to_file_text(self) -> str:
-        lines = []
-        for key in CONFIG_KEYS:
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_file_text(cls, text: str) -> "RunConfig":
         cfg = cls()
@@ -590,7 +579,7 @@ def main(argv=None) -> int:
             raise GRCodesError("--threads must be between 1 and 64")
         started = time.monotonic()
         status = args.handler(cfg)
-        print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+        print(f"elapsed: {time.monotonic() - started:.6f}s", file=sys.stderr)
         return status
     except (GRCodesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

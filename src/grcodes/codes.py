@@ -11,7 +11,8 @@ Symbol counts N_beta(a) are computed two independent ways: by direct tally
 of the words, spanned in blocks from those of beta = xi^j, and by the exact
 character-sum formulas whose value is assembled in Z[zeta_m] and converted
 to a rational integer at the end.  The two must agree everywhere; any
-non-integral intermediate raises instead of rounding.
+non-integral intermediate raises instead of rounding.  c_(beta g) is c_beta
+permuted for g in G, so each formula is evaluated once per orbit beta G.
 """
 from __future__ import annotations
 
@@ -186,16 +187,18 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an integer array and how often each occurs, in byte order.
 
     Rows are compared as whole byte strings: ``np.unique(a, axis=0)`` sorts a
-    structured view field by field, several times slower.  Only one sorted copy
-    of the rows is alive at a time: the distinct rows are read back from ``a``.
+    structured view field by field, several times slower.  No sorted copy of
+    the rows is made: sorted neighbours are compared in blocks of about
+    TALLY_BLOCK_BYTES, and the distinct rows are read back from ``a``.
     """
     a = np.ascontiguousarray(a)
     rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
     order = np.argsort(rows)
-    ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    del ordered
+    step = max(1, TALLY_BLOCK_BYTES // max(1, rows.itemsize))
+    for start in range(1, len(rows), step):
+        block = rows[order[start - 1:start + step]]
+        first[start:start + step] = block[1:] != block[:-1]
     starts = np.flatnonzero(first)
     return a[order[starts]], np.diff(np.append(starts, len(rows)))
 
@@ -236,14 +239,6 @@ def span_blocks(ring: GaloisRing, w: np.ndarray):
             offset = (offset + image) % p2
             if (i + 1) % p2 ** (j + 1):
                 break
-
-
-def unit_action(ring: GaloisRing, unit: GaloisRingElement) -> np.ndarray:
-    """code(a * unit) for every ring code a: the span of the rows xi^j * unit, checked bijective."""
-    image = ring.codes_of(linear_span(ring.mul_matrix(unit), ring.p2))
-    if (np.bincount(image, minlength=ring.q * ring.q) != 1).any():
-        raise InvalidSubgroupError(f"multiplication by {unit!r} does not permute the ring")
-    return image
 
 
 def permutation_orbits(perms, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -498,18 +493,29 @@ class CodeContext:
             tpart = self.f
         return gens, tpart * len(span)
 
-    def generator_action(self) -> list[np.ndarray]:
-        """code(beta) -> code(beta * g) for each generator g of G, by ``unit_action``."""
-        return self._cache(
-            "generator_action",
-            lambda: [unit_action(self.big, g) for g in self._subgroup_generators("G")[0]],
-        )
-
     def beta_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The orbits beta G: orbit index of every beta code, smallest code of each, sizes."""
-        return self._cache(
-            "beta_orbits", lambda: permutation_orbits(self.generator_action(), self.Q * self.Q)
-        )
+        """The orbits beta G: orbit index of every beta code, smallest code of each, sizes.
+
+        Orbits come in order of their smallest code.  As p^2 = 0, xi^k (1 + pT(v))
+        xi^(ej) (1 + pT(u)) = xi^(k+ej) (1 + pT(v+u)) and p xi^k g = p xi^(k+ej): the
+        key is (k mod e, v + Vbar) for a unit, k mod e for p xi^k, and zero is alone.
+        v is reduced by the echelon rows of Vbar in pivot order, each zero below its
+        pivot, to the one element of v + Vbar that is zero at every pivot.
+        """
+        def build():
+            Q, e, p, FQ = self.Q, self.e, self.p, self.big.residue_field
+            digits = np.array([FQ.coeffs(v) for v in range(Q)], dtype=np.int64)
+            for basis_row in self.spec.vbar_basis:
+                row = np.array(FQ.coeffs(basis_row), dtype=np.int64)
+                pivot = np.flatnonzero(row)[0]
+                digits = (digits - digits[:, pivot, None] * row) % p
+            coset = digits @ p ** np.arange(digits.shape[1])
+            k, v = self.big.log_table()
+            key = np.where(v >= 0, k % e * Q + coset[v], e * Q + np.where(k >= 0, k % e, e))
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            index = np.argsort(np.argsort(first))[inverse.ravel()]  # ranked by smallest code
+            return index, np.sort(first), np.bincount(index)
+        return self._cache("beta_orbits", build)
 
     def chars_mod_G(self):
         return self._cache(
@@ -835,18 +841,25 @@ class CodeContext:
         ]
 
     def theorem31_N(self, beta: GaloisRingElement, a: GaloisRingElement) -> int:
-        """N_beta(a) from the exact character-sum formula: one entry of ``theorem31_row``.
+        """N_beta(a) from the exact character-sum formula: entry a of the row of beta's orbit.
 
-        The row of the last beta asked is kept, so a sweep over a costs one row.
+        Rows are constant on orbits: each is computed at its orbit's smallest beta, once.
         """
-        last = self._caches.get("row31")
-        if last is None or last[0] != beta.code:
-            last = self._caches["row31"] = (beta.code, self.theorem31_row(beta))
-        return last[1][a.code]
+        index, reps, _ = self.beta_orbits()
+        orbit = int(index[beta.code])
+        rows = self._cache("orbit_rows31", dict)
+        if orbit not in rows:
+            rows[orbit] = self.theorem31_row(self.big.from_code(int(reps[orbit])))
+        return rows[orbit][a.code]
 
     # -- size / minimum-distance bounds -----------------------------------------
 
     def bounds_M1_M2(self) -> BoundsReport:
+        """M1, M2 and the size and distance bounds of Theorem 3.1(3).
+
+        M2 is a max over units of sums of characters trivial on G R^* or on D: it is
+        constant on the orbits beta G, so one unit per orbit is read.
+        """
         n, q, Q = self.n, self.q, self.Q
         FQ = self.big.residue_field
         table_ep = self._table_field_eprime()
@@ -854,8 +867,9 @@ class CodeContext:
         m1 = max(Fraction(c, Q - 1) for c in self._rational_sums([(table_ep, 1)], residue_logs))
         terms = [(self._table_I_zero(), q), (table_ep, Q)]
         logs_k, logs_v = self.big.log_table()
+        reps = self.beta_orbits()[1]
         m2 = None
-        for code in np.flatnonzero(logs_v >= 0).tolist():  # the units, in code order
+        for code in reps[logs_v[reps] >= 0].tolist():  # the smallest unit of each orbit
             (combined,) = self._rational_sums(terms, [-logs_k[code]], [0], int(logs_v[code]))
             candidate = Fraction(combined, (q + 1) * Q * (Q - 1))
             if m2 is None or candidate > m2:

@@ -11,7 +11,7 @@ import pytest
 
 import grcodes
 from grcodes.characters import CharacterSystem
-from grcodes.cli import RunConfig, main
+from grcodes.cli import CONFIG_KEYS, RunConfig, main
 from grcodes.codes import build_code
 from grcodes.cyclotomic import CyclotomicInteger
 from grcodes.rings import GaloisRing, format_element
@@ -378,9 +378,22 @@ def test_gray_analyze_json():
     assert payload["weights"] == {"0": 1, "12": 12, "16": 3}
 
 
+def _to_file_text(cfg: RunConfig) -> str:
+    """The config file text of every option that is set, one ``key = value`` line each."""
+    lines = []
+    for key in CONFIG_KEYS:
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(p=2, r=1, s=2, e=1, vbar="full", format="json", threads=2)
-    text = cfg.to_file_text()
+    text = _to_file_text(cfg)
     assert RunConfig.from_file_text(text) == cfg
 
 

@@ -35,8 +35,9 @@ from grcodes.rings import (
     format_element,
     hensel_lift_basic_primitive,
     is_primitive_poly,
+    linear_span,
 )
-from grcodes.verify import suite_component_counts
+from grcodes.verify import suite_component_counts, suite_hom_weights
 from test_characters import _quotient_characters_oracle
 
 
@@ -778,6 +779,30 @@ def test_distinct_rows_counts_each_row_once():
     ]
 
 
+def test_distinct_rows_compares_neighbours_in_blocks(monkeypatch):
+    a = np.random.default_rng(2).integers(0, 3, size=(500, 3))  # 27 possible rows, all repeated
+    rows, counts = np.unique(a, axis=0, return_counts=True)
+    for budget in (1, 7 * a.itemsize * 3, 1 << 20):  # one-row blocks; 7 rows; one block
+        monkeypatch.setattr(codes, "TALLY_BLOCK_BYTES", budget)
+        found, multiplicity = codes.distinct_rows(a)
+        pairs = sorted(zip(map(tuple, found.tolist()), multiplicity.tolist()))
+        assert pairs == sorted(zip(map(tuple, rows.tolist()), counts.tolist())), budget
+
+
+def test_distinct_rows_makes_no_sorted_copy_of_the_table():
+    # 8 distinct rows of 81 int64 counts: a sorted copy would take the table's 25.9 MB again
+    a = np.repeat(np.arange(8 * 81, dtype=np.int64).reshape(8, 81), 5000, axis=0)
+    np.random.default_rng(3).shuffle(a)
+    tracemalloc.start()
+    try:
+        rows, counts = codes.distinct_rows(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(counts.tolist()) == [5000] * 8 and len(rows) == 8
+    assert peak < a.nbytes // 2, (peak, a.nbytes)
+
+
 @pytest.mark.parametrize("args, kwargs, kernel", [
     ((2, 1, 2), dict(e=3, d=1), 4),
     ((2, 1, 3), dict(e=7, d=0), 16),
@@ -792,18 +817,26 @@ def test_code_size_is_read_from_the_kernel(args, kwargs, kernel):
     assert size * kernel == ctx.Q * ctx.Q
 
 
+def unit_action(ring: GaloisRing, unit) -> np.ndarray:
+    """code(a * unit) for every ring code a: the span of the rows xi^j * unit, checked bijective."""
+    image = ring.codes_of(linear_span(ring.mul_matrix(unit), ring.p2))
+    if (np.bincount(image, minlength=ring.q * ring.q) != 1).any():
+        raise InvalidSubgroupError(f"multiplication by {unit!r} does not permute the ring")
+    return image
+
+
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_unit_action_matches_ring_products(p, r):
     ring = GaloisRing(p, r)
     for unit in [x for x in ring.elements() if x.is_unit][:6]:
-        assert codes.unit_action(ring, unit).tolist() == [(x * unit).code for x in ring.elements()]
+        assert unit_action(ring, unit).tolist() == [(x * unit).code for x in ring.elements()]
 
 
 def test_unit_action_refuses_a_map_that_is_not_a_bijection():
     ring = GaloisRing(2, 2)
     for non_unit in (ring.one * ring.p, ring.zero):
         with pytest.raises(InvalidSubgroupError, match="does not permute"):
-            codes.unit_action(ring, non_unit)
+            unit_action(ring, non_unit)
 
 
 def _orbit_oracle(ctx) -> list[frozenset[int]]:
@@ -812,18 +845,59 @@ def _orbit_oracle(ctx) -> list[frozenset[int]]:
     return sorted(orbits, key=min)
 
 
-@pytest.mark.parametrize("args, kwargs", [
-    ((2, 1, 3), dict(e=1, d=1)),  # cycles of length 7 under xi
-    ((3, 1, 2), dict(e=2, d=1)),
-])
-def test_beta_orbits_match_the_orbit_sets(args, kwargs):
-    ctx = build_code(*args, **kwargs)
+def _check_orbits_against_the_oracle(ctx):
     index, reps, sizes = ctx.beta_orbits()
     assert sizes.sum() == ctx.Q * ctx.Q
     found = [frozenset(np.flatnonzero(index == i).tolist()) for i in range(len(reps))]
     assert found == _orbit_oracle(ctx)
     assert reps.tolist() == [min(orbit) for orbit in found]
     assert sizes.tolist() == [len(orbit) for orbit in found]
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((2, 1, 3), dict(e=1, d=1)),  # cycles of length 7 under xi
+    ((3, 1, 2), dict(e=2, d=1)),
+])
+def test_beta_orbits_match_the_orbit_sets(args, kwargs):
+    _check_orbits_against_the_oracle(build_code(*args, **kwargs))
+
+
+@pytest.mark.parametrize("name", _ORACLE_CODES)
+def test_beta_orbits_match_the_ring_products_on_the_oracle_codes(name):
+    _check_orbits_against_the_oracle(_oracle_code(name))
+
+
+@pytest.mark.parametrize("args, kwargs, count", [
+    ((2, 3, 2), dict(e=1, d=3, sprime=1), 1 * 64 // 8 + 1 + 1),  # n = 504
+    ((2, 2, 4), dict(e=5, d=2), 5 * 256 // 4 + 5 + 1),  # Q = 256: 326 orbits
+])
+def test_beta_orbits_match_the_generator_maps(args, kwargs, count):
+    ctx = build_code(*args, **kwargs)
+    maps = [unit_action(ctx.big, g) for g in ctx._subgroup_generators("G")[0]]
+    expected = codes.permutation_orbits(maps, ctx.Q * ctx.Q)
+    found = ctx.beta_orbits()
+    assert len(found[1]) == count
+    for got, want in zip(found, expected):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_per_orbit_formulas_match_the_per_beta_route_on_random_codes(seed):
+    ctx = _random_code(random.Random(f"formula-oracle:{seed}"), (2, 3, 5)[seed % 3])
+    symbols = list(ctx.small.elements())
+    for beta in ctx.big.elements():
+        row = ctx.theorem31_row(beta)
+        assert [ctx.theorem31_N(beta, a) for a in symbols] == row, (ctx, beta)
+    # M2 as a max over every unit, one kernel call each
+    q, Q = ctx.q, ctx.Q
+    terms = [(ctx._table_I_zero(), q), (ctx._table_field_eprime(), Q)]
+    logs_k, logs_v = ctx.big.log_table()
+    m2 = max(
+        Fraction(ctx._rational_sums(terms, [-logs_k[code]], [0], int(logs_v[code]))[0],
+                 (q + 1) * Q * (Q - 1))
+        for code in np.flatnonzero(logs_v >= 0).tolist()
+    )
+    assert ctx.bounds_M1_M2().m2 == m2, ctx
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -856,6 +930,26 @@ def test_suite_31_full_tallies_match_count_components(name):
         assert record.check_id == f"beta-{format_element(beta)}"
         assert record.observed == str(_tally(ctx, beta))
     assert report.all_ok
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_wrong_orbit_formula_fails_every_beta_of_that_orbit(monkeypatch, full):
+    ctx = build_code(2, 1, 3, e=1, d=1)  # e = 1: the p * T betas are one orbit of 7
+    assert ctx.e_prime == 1 and len(ctx.beta_orbits()[1]) == 8 // 2 + 1 + 1
+
+    def shift(weights):  # only that orbit's formula reads the e' field table
+        weights[0, 0] += ctx.Q - 1  # moves its weight by -(q - 1) n, an integer
+
+    _replace_weights(ctx, monkeypatch, "table_field_eprime", shift)
+    report = suite_hom_weights(ctx, full=full)
+    failed = [r.check_id for r in report.records if not r.ok and r.check_id.startswith("beta-")]
+    ideal = [beta for beta in ctx.big.elements() if not beta.is_unit and not beta.is_zero()]
+    assert failed == [f"beta-{format_element(beta)}" for beta in ideal]
+    shown = [r for r in report.records if r.check_id.startswith("beta-")]
+    assert len(shown) == (ctx.Q * ctx.Q if full else len(ideal))
+    counted = {r.check_id: r.observed for r in report.records}
+    assert counted["all-beta"] == f"{ctx.Q * ctx.Q - len(ideal)} weights equal"
+    assert counted["tilde-scaling"] == f"{len(ideal)} beta violate the scaling"
 
 
 # -- the one count table and the tables read from it ------------------------------
