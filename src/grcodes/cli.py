@@ -8,6 +8,12 @@ mod p.  Exit codes: 0 success, 1 verification mismatch, 2 invalid usage.
 Reports are deterministic byte-for-byte for identical inputs; timing goes
 to stderr only.  --threads (1..64) is accepted for compatibility and has
 no effect: every sweep runs in one thread.
+
+Importing this module loads only the standard library and ``errors``, so
+``--help`` and usage errors load no numpy.  Each handler imports the layers
+it uses when it runs: ``gauss`` and ``code verify --theorem 2.1`` load
+neither ``codes`` nor ``gray``.  The ``elapsed:`` line on stderr times the
+handler, which includes loading those layers.
 """
 from __future__ import annotations
 
@@ -20,20 +26,18 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .characters import CharacterSystem
-from .codes import CodeContext, build_code
-from .cyclotomic import canonical_text, complex_value
 from .errors import GRCodesError
-from .gray import field_enumeration, gray_image_analyze, gray_map_vec
-from .rings import (
-    GaloisRing,
-    format_element,
-    format_field_element,
-    parse_element,
-    parse_field_element,
-)
-from .verify import SUITES, VerificationReport, json_text
+
+if TYPE_CHECKING:
+    from .characters import CharacterSystem
+    from .codes import CodeContext
+    from .rings import GaloisRing
+    from .verify import VerificationReport
+
+# the keys of verify.SUITES, which --theorem needs before any layer is loaded
+THEOREMS = ("2.1", "3.1", "3.3", "3.4", "4.4", "4.5", "4.6")
 
 CONFIG_KEYS = (
     "p", "r", "s", "sprime", "e", "d", "vbar", "modulus", "format", "output",
@@ -119,12 +123,16 @@ def _parse_modulus(cfg: RunConfig) -> list[int] | None:
 
 
 def _build_ring(cfg: RunConfig) -> GaloisRing:
+    from .rings import GaloisRing
+
     _require(cfg, "p", "r")
     return GaloisRing(cfg.p, cfg.r, modulus=_parse_modulus(cfg), allow_large=cfg.allow_large)
 
 
 def _parse_vbar(cfg: RunConfig) -> list[int] | None:
     """--vbar as codes of the big residue field F_{p^(r s)}; x^j has the code p^j."""
+    from .rings import parse_field_element
+
     if cfg.vbar is None:
         return None
     degree = cfg.r * cfg.s
@@ -137,6 +145,8 @@ def _parse_vbar(cfg: RunConfig) -> list[int] | None:
 
 
 def _build_context(cfg: RunConfig) -> CodeContext:
+    from .codes import build_code
+
     _require(cfg, "p", "r", "s", "e")
     return build_code(
         cfg.p, cfg.r, cfg.s, cfg.e,
@@ -173,6 +183,9 @@ def _kv_csv(rows: list[tuple[str, str, str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_ring_info(cfg: RunConfig) -> int:
+    from .rings import format_element
+    from .verify import json_text
+
     ring = _build_ring(cfg)
     q = ring.q
     payload = {
@@ -211,6 +224,10 @@ def cmd_ring_info(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gauss(cfg: RunConfig) -> int:
+    from .characters import CharacterSystem
+    from .rings import format_element, parse_element
+    from .verify import json_text
+
     ring = _build_ring(cfg)
     system = CharacterSystem(ring)
     if cfg.sweep:
@@ -267,6 +284,10 @@ def _gauss_sweep(cfg: RunConfig, ring: GaloisRing, system: CharacterSystem) -> i
     into two tables of JSON texts: the repr and coeffs block of each distinct
     canonical row, and the magnitude of each distinct definitional row.
     """
+    from .cyclotomic import canonical_text, complex_value
+    from .rings import format_element
+    from .verify import json_text
+
     m = system.m
     records = cfg.format == "json" and (cfg.full or cfg.dump_sums)
     magnitudes: dict[bytes, str] = {}  # definitional row -> its magnitude text
@@ -327,6 +348,9 @@ def _gauss_sweep(cfg: RunConfig, ring: GaloisRing, system: CharacterSystem) -> i
 # ---------------------------------------------------------------------------
 
 def cmd_code_build(cfg: RunConfig) -> int:
+    from .rings import format_element, format_field_element
+    from .verify import json_text
+
     ctx = _build_context(cfg)
     tilde = ctx.build_tilde_code()
     payload = {
@@ -360,6 +384,9 @@ def cmd_code_build(cfg: RunConfig) -> int:
 
 
 def cmd_code_weights(cfg: RunConfig) -> int:
+    from .rings import format_element
+    from .verify import json_text
+
     ctx = _build_context(cfg)
     table = ctx.hamming_distribution()
     payload = {
@@ -425,6 +452,8 @@ def cmd_code_weights(cfg: RunConfig) -> int:
 
 
 def cmd_code_verify(cfg: RunConfig) -> int:
+    from .verify import SUITES
+
     if cfg.theorem not in SUITES:
         raise GRCodesError(
             f"--theorem must be one of {', '.join(sorted(SUITES))}, got {cfg.theorem!r}"
@@ -446,6 +475,10 @@ def cmd_code_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gray_map(cfg: RunConfig) -> int:
+    from .gray import field_enumeration, gray_map_vec
+    from .rings import format_element, format_field_element, parse_element
+    from .verify import json_text
+
     ring = _build_ring(cfg)
     # a single element literal, or a whole codeword as ';'-joined symbols
     symbols = [parse_element(ring, part) for part in cfg.beta.split(";")]
@@ -464,6 +497,9 @@ def cmd_gray_map(cfg: RunConfig) -> int:
 
 
 def cmd_gray_analyze(cfg: RunConfig) -> int:
+    from .gray import gray_image_analyze
+    from .verify import json_text
+
     ctx = _build_context(cfg)
     report = gray_image_analyze(ctx, cfg.which)
     payload = {
@@ -549,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = code_sub.add_parser(name)
         _add_common(p, code_opts=True)
         if name == "verify":
-            p.add_argument("--theorem", choices=sorted(SUITES), default=None,
+            p.add_argument("--theorem", choices=THEOREMS, default=None,
                            help="which identity suite to run")
         p.set_defaults(handler=handler)
 

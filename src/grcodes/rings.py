@@ -368,7 +368,7 @@ class FiniteField:
 class GaloisRingElement:
     """An element of GR(p^2, r): a coefficient tuple mod p^2 against the modulus."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_code")
 
     def __init__(self, ring: "GaloisRing", coeffs):
         self.ring = ring
@@ -379,10 +379,14 @@ class GaloisRingElement:
     @property
     def code(self) -> int:
         """Canonical integer code: little-endian base-p^2 value of the coefficients."""
-        code = 0
-        for c in reversed(self.coeffs):
-            code = code * self.ring.p2 + c
-        return code
+        try:
+            return self._code
+        except AttributeError:  # first read; elements are immutable, so it is kept
+            code = 0
+            for c in reversed(self.coeffs):
+                code = code * self.ring.p2 + c
+            self._code = code
+            return code
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -5,7 +5,8 @@ id, an anchor naming the identity being exercised, the predicted value, the
 observed value, and an exact pass/fail verdict.  Reports are deterministic:
 sweeps run in one thread, in index order, so identical inputs give
 byte-identical serializations.  ``json_text`` writes every JSON report,
-these and the CLI's.
+these and the CLI's.  Suites 4.4-4.6 import ``gray`` when they run, and
+``codes`` is named only in annotations, so suite 2.1 loads neither.
 """
 from __future__ import annotations
 
@@ -17,14 +18,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .characters import CharacterSystem
-from .codes import CodeContext
 from .cyclotomic import canonical_text, exact_int
-from .gray import gray_image_analyze, theorem44_hom_weight, theorem45_table
 from .rings import GaloisRing, format_element
+
+if TYPE_CHECKING:
+    from .codes import CodeContext
 
 
 def _float_text(value: float) -> str:
@@ -324,6 +327,8 @@ def suite_params_34(ctx: CodeContext, full: bool = False) -> VerificationReport:
 
 def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationReport:
     """Closed-form homogeneous weights against direct weights, all beta, one formula per orbit."""
+    from .gray import theorem44_hom_weight
+
     report = VerificationReport("4.4", _ctx_params(ctx))
     weights = ctx.hom_weight_per_beta()
     tilde = ctx.build_tilde_code()
@@ -354,6 +359,8 @@ def suite_hom_weights(ctx: CodeContext, full: bool = False) -> VerificationRepor
 
 
 def suite_table2(ctx: CodeContext, full: bool = False) -> VerificationReport:
+    from .gray import theorem45_table
+
     report = VerificationReport("4.5", _ctx_params(ctx))
     _table_report_records(report, theorem45_table(ctx), "4.5-table-2")
     return report
@@ -361,6 +368,8 @@ def suite_table2(ctx: CodeContext, full: bool = False) -> VerificationReport:
 
 def suite_gray_images(ctx: CodeContext, full: bool = False) -> VerificationReport:
     """Two-distance property and closed-form distances of the Gray images."""
+    from .gray import gray_image_analyze
+
     report = VerificationReport("4.6", _ctx_params(ctx))
     ctx._require_table_hypotheses(need_e_one=False)
     q, Q, pd, e = ctx.q, ctx.Q, ctx.p**ctx.d, ctx.e

@@ -67,7 +67,7 @@ def test_gauss_sweep_pair_count():
 
 
 def test_gauss_sweep_builds_no_record_without_full(monkeypatch):
-    import grcodes.cli as cli
+    import grcodes.cyclotomic as cyclotomic
 
     built = []
     approx = CyclotomicInteger.approx
@@ -75,9 +75,9 @@ def test_gauss_sweep_builds_no_record_without_full(monkeypatch):
         CyclotomicInteger, "approx", lambda self: built.append(self) or approx(self)
     )
     for name in ("canonical_text", "complex_value"):
-        helper = getattr(cli, name)
+        helper = getattr(cyclotomic, name)
         monkeypatch.setattr(
-            cli, name, lambda *args, helper=helper: built.append(args) or helper(*args)
+            cyclotomic, name, lambda *args, helper=helper: built.append(args) or helper(*args)
         )
     status, out, _ = run_cli("gauss", "--sweep", "--p", "3", "--r", "2", "--format", "json")
     assert status == 0

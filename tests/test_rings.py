@@ -281,6 +281,22 @@ def test_linear_span_matches_the_sum_of_digit_multiples(mod, k, shape):
         assert np.array_equal(result, (expected + offset) % mod), (mod, k, shape)
 
 
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 1), (2, 3)])
+def test_element_code_is_kept_and_matches_the_coefficients(p, r):
+    # .code is computed on the first read and kept; elements are immutable
+    ring = GaloisRing(p, r)
+
+    def encoded(x):
+        return sum(c * ring.p2**j for j, c in enumerate(x.coeffs))
+
+    for x in ring.elements():
+        before = x.code
+        assert before == x.code == encoded(x)
+        for y in (x * ring.xi + ring.one, x - ring.xi, -x, 3 * x):
+            assert y.code == encoded(y) and ring.from_code(y.code) == y
+        assert x.code == before == encoded(x) and ring.from_code(x.code) == x
+
+
 @pytest.mark.parametrize("p, r", [(2, 3), (3, 2), (5, 1)])
 def test_codes_of_matches_the_element_codes(p, r):
     ring = GaloisRing(p, r)
