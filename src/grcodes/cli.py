@@ -25,7 +25,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import GRCodesError
@@ -39,39 +39,26 @@ if TYPE_CHECKING:
 # the keys of verify.SUITES, which --theorem needs before any layer is loaded
 THEOREMS = ("2.1", "3.1", "3.3", "3.4", "4.4", "4.5", "4.6")
 
-CONFIG_KEYS = (
-    "p", "r", "s", "sprime", "e", "d", "vbar", "modulus", "format", "output",
-    "threads", "allow_large", "full", "theorem", "which", "chi_i", "chi_b",
-    "beta", "sweep", "dump_sums",
-)
+# every run option and its default, in the order RunConfig's repr lists them
+_DEFAULTS = {
+    "p": None, "r": None, "s": None, "sprime": None, "e": None, "d": None, "vbar": None,
+    "modulus": None, "format": "text", "output": None, "threads": 1, "allow_large": False,
+    "full": False, "theorem": None, "which": "C", "chi_i": 0, "chi_b": "0", "beta": "0",
+    "sweep": False, "dump_sums": False,
+}
+CONFIG_KEYS = tuple(_DEFAULTS)
 _INT_KEYS = {"p", "r", "s", "sprime", "e", "d", "threads", "chi_i"}
 _BOOL_KEYS = {"allow_large", "full", "sweep", "dump_sums"}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(SimpleNamespace):
     """Flat bag of run options; file values are overridden by explicit flags."""
 
-    p: int | None = None
-    r: int | None = None
-    s: int | None = None
-    sprime: int | None = None
-    e: int | None = None
-    d: int | None = None
-    vbar: str | None = None
-    modulus: str | None = None
-    format: str = "text"
-    output: str | None = None
-    threads: int = 1
-    allow_large: bool = False
-    full: bool = False
-    theorem: str | None = None
-    which: str = "C"
-    chi_i: int = 0
-    chi_b: str = "0"
-    beta: str = "0"
-    sweep: bool = False
-    dump_sums: bool = False
+    def __init__(self, **values):
+        for key in values:
+            if key not in _DEFAULTS:
+                raise TypeError(f"RunConfig.__init__() got an unexpected keyword argument {key!r}")
+        super().__init__(**{**_DEFAULTS, **values})
 
     @classmethod
     def from_file_text(cls, text: str) -> "RunConfig":

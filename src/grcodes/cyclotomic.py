@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotRationalError, OrderMismatchError
-from .rings import prime_factors
+from .rings import _ptrim, prime_factors
 
 # Rows are reduced in int64 only while max|R| * sum|coeffs| stays below this,
 # R the reduction table; the product bounds every partial sum of the
@@ -51,13 +51,6 @@ def exact_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def _trim(coeffs: list[int]) -> list[int]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return coeffs[:end]
-
-
 def _divide_exact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of integer polynomials; raises unless den is monic and divides num."""
     if not den or den[-1] != 1:
@@ -70,7 +63,7 @@ def _divide_exact(num: list[int], den: list[int]) -> list[int]:
             quo[shift] = c
             for i, d in enumerate(den):
                 num[shift + i] -= c * d
-    rem = _trim(num)
+    rem = _ptrim(num)
     if rem:
         raise NotRationalError(f"{den} leaves the remainder {rem}")
     return quo

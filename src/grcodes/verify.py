@@ -5,8 +5,10 @@ id, an anchor naming the identity being exercised, the predicted value, the
 observed value, and an exact pass/fail verdict.  Reports are deterministic:
 sweeps run in one thread, in index order, so identical inputs give
 byte-identical serializations.  ``json_text`` writes every JSON report,
-these and the CLI's.  Suites 4.4-4.6 import ``gray`` when they run, and
-``codes`` is named only in annotations, so suite 2.1 loads neither.
+these and the CLI's: dicts with ``str`` keys, lists, strings, ints, bools
+and None by exact type, and any other payload through ``json.dumps``.
+Suites 4.4-4.6 import ``gray`` when they run, and ``codes`` is named only
+in annotations, so suite 2.1 loads neither.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -30,92 +31,61 @@ if TYPE_CHECKING:
     from .codes import CodeContext
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# exact types whose JSON text is one call; subclasses take the isinstance route
+# exact types whose JSON text is one call
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return '"' + _float_text(key) + '"'
-    if key is True or key is False or key is None:
-        return '"' + _LEAF_TEXT[type(key)](key) + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _put(value, newline: str, out, open_ids: set) -> None:
-    leaf = _LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        out(leaf(value))
-    elif isinstance(value, str):
-        out(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, float):
-        out(_float_text(value))
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            out("{}" if isinstance(value, dict) else "[]")
-            return
-        if id(value) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(value))
-        inner = newline + "  "
-        sep = inner
-        if isinstance(value, dict):
-            out("{")
-            for key, item in sorted(value.items()):
-                out(sep + _key_text(key) + ": ")
-                sep = "," + inner
-                _put(item, inner, out, open_ids)
-            out(newline + "}")
-        else:
-            kinds = set(map(type, value))
-            leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-            if leaf is not None:  # leaves of one exact type: one join
-                out("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
-            else:
-                out("[")
-                for item in value:
-                    out(sep)
-                    sep = "," + inner
-                    _put(item, inner, out, open_ids)
-                out(newline + "]")
-        open_ids.remove(id(value))
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _put(value, newline: str, out) -> None:
+    """Write value by exact type; raises KeyError, TypeError or RecursionError on anything else."""
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        return out(_LEAF_TEXT[kind](value))
+    if not value:
+        return out("{}" if kind is dict else "[]")
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise KeyError(key)
+            out(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _put(item, inner, out)
+        return out(newline + "}")
+    kinds = set(map(type, value))
+    leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if leaf is not None:  # leaves of one exact type: one join
+        return out("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
+    sep = "[" + inner
+    for item in value:
+        out(sep)
+        sep = "," + inner
+        _put(item, inner, out)
+    out(newline + "]")
 
 
 def json_text(payload, depth: int = 0) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, and its errors.
 
-    With ``indent`` set, Python 3.10-3.12 encode in pure Python, one
-    generator step per token; this writer appends each value's text to one
-    list instead.  ``depth`` writes the payload as a value nested that many
-    levels deep in a larger report: every line after the first is indented
-    by 2 * depth more spaces.
+    Reports hold only ``dict`` with ``str`` keys, ``list``, ``str``, ``int``,
+    ``bool`` and ``None``.  Those exact types are written here into one list,
+    since Python 3.10-3.12 encode ``indent`` in pure Python, one generator
+    step per token; any other payload (a float, a tuple, another key type, a
+    subclass, a cycle) goes whole to ``json.dumps``.  ``depth`` writes the
+    payload as a value nested that many levels deep in a larger report:
+    every line after the first is indented by 2 * depth more spaces.
     """
+    newline = "\n" + "  " * depth
     parts: list[str] = []
-    _put(payload, "\n" + "  " * depth, parts.append, set())
+    try:
+        _put(payload, newline, parts.append)
+    except (KeyError, TypeError, RecursionError):
+        return json.dumps(payload, sort_keys=True, indent=2).replace("\n", newline)
     return "".join(parts)
 
 
@@ -254,11 +224,11 @@ def suite_component_counts(ctx: CodeContext, full: bool = False) -> Verification
     report = VerificationReport("3.1", _ctx_params(ctx))
     symbols = list(ctx.small.elements())
     beta_codes = range(ctx.Q * ctx.Q)
-    counts = ctx.symbol_counts().tolist()
+    counts = ctx.symbol_counts()
     for code in beta_codes:
         beta = ctx.big.from_code(code)
         pred = [ctx.theorem31_N(beta, a) for a in symbols]
-        obs = counts[code]
+        obs = counts[code].tolist()
         if full or pred != obs:
             report.add(
                 f"beta-{format_element(beta)}", "3.1-formula-vs-enumeration", pred, obs

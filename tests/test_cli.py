@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import grcodes
+from grcodes import verify
 from grcodes.characters import CharacterSystem
-from grcodes.cli import CONFIG_KEYS, RunConfig, main
+from grcodes.cli import CONFIG_KEYS, THEOREMS, RunConfig, main
 from grcodes.codes import build_code
 from grcodes.cyclotomic import CyclotomicInteger
 from grcodes.rings import GaloisRing, format_element
@@ -376,6 +377,43 @@ def test_gray_analyze_json():
     assert payload["length"] == 24 and payload["size"] == 16
     assert payload["min_distance"] == 12 and payload["two_distance"] is True
     assert payload["weights"] == {"0": 1, "12": 12, "16": 3}
+
+
+_SMALL_CODE = ("--p", "2", "--r", "1", "--s", "2", "--sprime", "1", "--e", "1", "--d", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring", "info", "--p", "2", "--r", "2"),
+    ("gauss", "--p", "2", "--r", "2", "--chi-i", "1"),
+    ("gauss", "--p", "2", "--r", "2", "--sweep", "--full"),
+    ("code", "build", *_SMALL_CODE),
+    ("code", "weights", "--full", *_SMALL_CODE),
+    *[("code", "verify", "--theorem", theorem, *_SMALL_CODE) for theorem in THEOREMS],
+    ("gray", "map", "--p", "2", "--r", "1", "--beta", "2"),
+    ("gray", "analyze", "--which", "Ctilde", *_SMALL_CODE),
+])
+def test_cli_reports_never_reach_json_dumps(monkeypatch, argv):
+    # every report is built from the types json_text writes itself
+    dumps = json.dumps
+
+    def no_indent(*args, **kwargs):
+        if "indent" in kwargs:
+            raise AssertionError("a report reached json.dumps")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(verify.json, "dumps", no_indent)
+    status, out, err = run_cli(*argv, "--format", "json")
+    assert status == 0, err
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": [1.5, (2,)], "b": {"c": None}},  # written by json.dumps
+    {"a": [1, True], "b": {"c": None}},  # written by json_text itself
+])
+def test_json_text_at_depth_is_json_dumps_indented(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n    ")
+    assert json_text(payload, depth=2) == expected
 
 
 def _to_file_text(cfg: RunConfig) -> str:

@@ -803,6 +803,23 @@ def test_distinct_rows_makes_no_sorted_copy_of_the_table():
     assert peak < a.nbytes // 2, (peak, a.nbytes)
 
 
+def test_suite_31_reads_one_count_row_at_a_time(monkeypatch):
+    # n = 504: the (4,096, 64) count table as lists would take 2.3 MB, one row 568 bytes
+    ctx = build_code(2, 3, 2, e=1, d=3, sprime=1)
+    assert suite_component_counts(ctx).all_ok  # fills the tables that ctx keeps
+    table = ctx.hamming_distribution()  # rebuilt on each call; not what is measured here
+    monkeypatch.setattr(ctx, "hamming_distribution", lambda: table)
+    counts = ctx.symbol_counts()
+    tracemalloc.start()
+    try:
+        report = suite_component_counts(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_ok
+    assert peak < counts.nbytes // 2, (peak, counts.nbytes)
+
+
 @pytest.mark.parametrize("args, kwargs, kernel", [
     ((2, 1, 2), dict(e=3, d=1), 4),
     ((2, 1, 3), dict(e=7, d=0), 16),

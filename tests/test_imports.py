@@ -1,7 +1,8 @@
 """What importing the package and running each command loads.
 
-``import grcodes`` and ``import grcodes.cli`` load no layer module and no
-numpy; a command loads only the layers it uses.  The load checks run in a
+``import grcodes`` and ``import grcodes.cli`` load no layer module, no
+numpy and no ``dataclasses`` (which brings ``inspect``, ``ast``, ``dis`` and
+``tokenize``); a command loads only the layers it uses.  The load checks run in a
 fresh interpreter, because this one has every module loaded already.
 """
 import importlib
@@ -51,7 +52,7 @@ def _fresh(script: str) -> dict:
 _LOADED = (
     "def loaded():\n"
     "    return sorted(m for m in sys.modules\n"
-    "                  if m.split('.')[0] in ('grcodes', 'numpy'))\n"
+    "                  if m.split('.')[0] in ('grcodes', 'numpy', 'dataclasses'))\n"
 )
 
 _RUN_MAIN = (
